@@ -34,7 +34,6 @@ __all__ = [
     "check_label",
     "check_player_name",
     "formula_players",
-    "player_sort_key",
     "profile_from_mapping",
     "profile_to_mapping",
     "splice_profiles",
@@ -178,10 +177,6 @@ class DependencyGraph:
 
     def players_of_mask(self, mask: int) -> PlayerSet:
         return frozenset(p for i, p in enumerate(self.players) if mask >> i & 1)
-
-
-def player_sort_key(graph: DependencyGraph):
-    return graph.index
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,17 @@
-"""Pure strategy Nash equilibria by exhaustive unilateral deviation checking."""
+"""Pure strategy Nash equilibria as a join of local best-response tables.
+
+A profile is an equilibrium iff every player's label is a best response to
+the labels of its neighbours, so each player with a payoff table contributes
+one constraint over its closed neighbourhood (Kearns, Littman and Singh,
+*Graphical Models for Game Theory*, 2001).  For each such player the
+best-response table maps the neighbours' labels, in declaration order, to
+the player's own labels of maximal payoff; missing cells count as 0 and
+ties are all best.  Enumeration joins these tables by backtracking over the
+players in declaration order and checks each constraint as soon as its
+whole closed neighbourhood is assigned, so equilibria come out in
+lexicographic order.  Games with more than `DEFAULT_PROFILE_CAP` profiles
+are refused before any table is built.
+"""
 
 from __future__ import annotations
 
@@ -45,6 +58,22 @@ def payoff_of(game: Game, player: str, profile: StrategyProfile) -> Fraction:
     return table.get(key, _ZERO)
 
 
+def _best_labels(table, labels, slot, row) -> frozenset[str]:
+    """Own labels of maximal payoff when the neighbours play `row`.
+
+    `row` lists the neighbours' labels in declaration order; the player's
+    own label goes in at `slot` to form the payoff key.
+    """
+    before, after = row[:slot], row[slot:]
+    values = [table.get(before + (label,) + after, _ZERO) for label in labels]
+    best = max(values)
+    return frozenset(label for label, value in zip(labels, values) if value == best)
+
+
+def _neighbours(indices, slot):
+    return indices[:slot] + indices[slot + 1:]
+
+
 def is_equilibrium(game: Game, profile: StrategyProfile) -> bool:
     """True iff no player can strictly improve by deviating alone.
 
@@ -52,21 +81,34 @@ def is_equilibrium(game: Game, profile: StrategyProfile) -> bool:
     payoff leaves the profile in equilibrium.
     """
     game.check_profile(profile)
-    return _is_equilibrium(profile, _layout(game))
-
-
-def _is_equilibrium(profile: StrategyProfile, layout) -> bool:
-    for player_index, (indices, slot, table, labels) in enumerate(layout):
-        key = tuple(profile[i] for i in indices)
-        current = table.get(key, _ZERO)
-        chosen = profile[player_index]
-        for label in labels:
-            if label == chosen:
-                continue
-            alternative = key[:slot] + (label,) + key[slot + 1:]
-            if table.get(alternative, _ZERO) > current:
+    for player_index, (indices, slot, table, labels) in enumerate(_layout(game)):
+        if table:
+            row = tuple(profile[i] for i in _neighbours(indices, slot))
+            if profile[player_index] not in _best_labels(table, labels, slot, row):
                 return False
     return True
+
+
+def _join_plan(game: Game):
+    """Constraints to check at each depth: (player index, neighbour indices, table).
+
+    A player's constraint is checked at the depth of the last member of its
+    closed neighbourhood; a player without a payoff table has none.
+    """
+    plan = game._cache.get("join_plan")
+    if plan is None:
+        players = game.graph.players
+        plan = [[] for _ in players]
+        for player_index, (indices, slot, table, labels) in enumerate(_layout(game)):
+            if not table:
+                continue
+            neighbours = _neighbours(indices, slot)
+            rows = itertools.product(*(game.strategies[players[i]] for i in neighbours))
+            best = {row: _best_labels(table, labels, slot, row) for row in rows}
+            plan[indices[-1]].append((player_index, neighbours, best))
+        plan = tuple(map(tuple, plan))
+        game._cache["join_plan"] = plan
+    return plan
 
 
 def enumerate_equilibria(game: Game,
@@ -76,11 +118,33 @@ def enumerate_equilibria(game: Game,
     if count > max_profiles:
         raise ResourceLimitError(
             f"game has {count} profiles, exceeding the cap of {max_profiles}")
-    layout = _layout(game)
+    plan = _join_plan(game)
+    options = [game.strategies[p] for p in game.graph.players]
+    if not options:
+        return ((),)
+    last = len(options) - 1
+    profile = [None] * len(options)
+    # next_choice[d] is the position in options[d] to try next at depth d; the
+    # search is iterative so that long player lists cannot exhaust the stack.
+    next_choice = [0] * len(options)
     found = []
-    for profile in itertools.product(*(game.strategies[p] for p in game.graph.players)):
-        if _is_equilibrium(profile, layout):
-            found.append(profile)
+    depth = 0
+    while depth >= 0:
+        k = next_choice[depth]
+        if k == len(options[depth]):
+            next_choice[depth] = 0
+            depth -= 1
+            continue
+        next_choice[depth] = k + 1
+        profile[depth] = options[depth][k]
+        for player_index, neighbours, best in plan[depth]:
+            if profile[player_index] not in best[tuple(profile[i] for i in neighbours)]:
+                break
+        else:
+            if depth == last:
+                found.append(tuple(profile))
+            else:
+                depth += 1
     return tuple(found)
 
 

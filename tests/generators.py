@@ -20,7 +20,10 @@ def graphs(draw, min_players=1, max_players=5):
 
 
 @st.composite
-def games(draw, graph=None, max_players=4, max_strategies=3, values=(0, 1)):
+def games(draw, graph=None, max_players=4, max_strategies=3, values=(0, 1),
+          drop_cells=False):
+    """Games with full payoff tables, or with each cell dropped at random
+    (so possibly empty tables) when `drop_cells` is set."""
     if graph is None:
         graph = draw(graphs(max_players=max_players))
     strategies = {p: tuple(str(i) for i in range(draw(st.integers(1, max_strategies))))
@@ -28,7 +31,8 @@ def games(draw, graph=None, max_players=4, max_strategies=3, values=(0, 1)):
     payoffs = {}
     for p in graph.players:
         keys = itertools.product(*(strategies[w] for w in graph.local_order(p)))
-        payoffs[p] = {key: Fraction(draw(st.sampled_from(values))) for key in keys}
+        payoffs[p] = {key: Fraction(draw(st.sampled_from(values))) for key in keys
+                      if not (drop_cells and draw(st.booleans()))}
     return Game.of(graph, strategies, payoffs)
 
 

@@ -1,24 +1,53 @@
 """Independent reference implementations used to cross-check the library.
 
-These are deliberately naive: the dependence oracle compares every pair of
+These are deliberately naive: the equilibrium oracle tries every unilateral
+deviation from every profile, the dependence oracle compares every pair of
 equilibria against the definition, and the derivability oracle saturates the
 full atom space by literal rule applications.  They share no code with the
 implementations under test.
 """
 
 from collections import defaultdict, deque
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
 from gamedep.core import DependencyGraph
-from gamedep.equilibrium import equilibria
 from gamedep.prover import Hypotheses
+
+
+def equilibria_by_deviation(game) -> tuple:
+    """Profiles, lexicographic in declaration order, where no player gains by deviating.
+
+    Reads `game.strategies` and `game.payoffs` directly; a missing cell or
+    table is payoff 0 and a deviation must be strictly better to count.
+    """
+    graph = game.graph
+    players = graph.players
+    local = {p: [players.index(w) for w in graph.local_order(p)] for p in players}
+
+    def payoff(p, profile):
+        key = tuple(profile[i] for i in local[p])
+        return game.payoffs.get(p, {}).get(key, Fraction(0))
+
+    found = []
+    for profile in product(*(game.strategies[p] for p in players)):
+        stable = True
+        for i, p in enumerate(players):
+            current = payoff(p, profile)
+            for label in game.strategies[p]:
+                deviation = profile[:i] + (label,) + profile[i + 1:]
+                if payoff(p, deviation) > current:
+                    stable = False
+        if stable:
+            found.append(profile)
+    return tuple(found)
 
 
 def depends_pairwise(game, lhs, rhs) -> bool:
     """Definition, verbatim: equilibria agreeing on lhs agree on rhs."""
     lhs_idx = [game.graph.index(p) for p in lhs]
     rhs_idx = [game.graph.index(p) for p in rhs]
-    profiles = equilibria(game)
+    profiles = equilibria_by_deviation(game)
     for s, t in combinations(profiles, 2):
         if all(s[i] == t[i] for i in lhs_idx):
             if not all(s[i] == t[i] for i in rhs_idx):

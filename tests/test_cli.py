@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,32 @@ class TestNe:
         assert main(["ne", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 2:")
+
+
+class TestProfileCap:
+    """8 players with 8 strategies each: 16,777,216 profiles, over the 10^7 cap."""
+
+    @pytest.fixture
+    def oversized_file(self, tmp_path):
+        players = [f"p{i}" for i in range(8)]
+        lines = ["players " + " ".join(players)]
+        lines += [f"edge {u} {v}" for u, v in zip(players, players[1:])]
+        lines += [f"strategies {p} " + " ".join(f"s{k}" for k in range(8)) for p in players]
+        lines.append("payoff p0 p0=s0 p1=s0 1")
+        path = tmp_path / "oversized.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", [["ne"], ["check", "p0 |> p7"]],
+                             ids=["ne", "check"])
+    def test_refused_promptly_with_exit_2(self, oversized_file, command, capsys):
+        started = time.perf_counter()
+        assert main([command[0], oversized_file, *command[1:]]) == 2
+        elapsed = time.perf_counter() - started
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "game has 16777216 profiles, exceeding the cap of 10000000" in captured.err
+        assert elapsed < 2.0, f"refusal took {elapsed:.1f}s"
 
 
 class TestCheck:

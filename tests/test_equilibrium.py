@@ -1,23 +1,34 @@
 """Equilibrium enumeration and the deviation/splice invariants."""
 
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gamedep.core import Cut, Game, ResourceLimitError, agrees_on, splice_profiles
+from gamedep.core import (
+    Cut,
+    DependencyGraph,
+    Game,
+    ResourceLimitError,
+    agrees_on,
+    profile_to_mapping,
+    splice_profiles,
+)
 from gamedep.equilibrium import (
     enumerate_equilibria,
     equilibria,
     is_equilibrium,
     payoff_of,
 )
-from gamedep.search import builtin_game, builtin_graph
+from gamedep.search import SearchBounds, builtin_game, builtin_graph, random_game
 
 from generators import cuts, games
 
 from oracles import depends_pairwise  # noqa: F401  (re-exported for sibling tests)
+from oracles import equilibria_by_deviation
 
 
 COORDINATION = builtin_game("coordination")
@@ -94,6 +105,169 @@ class TestEnumerate:
     def test_equilibria_caches_per_game(self):
         game = builtin_game("parity")
         assert equilibria(game) is equilibria(game)
+
+
+def assert_matches_oracle(game):
+    """Exact tuples and order against the deviation oracle, and membership."""
+    expected = equilibria_by_deviation(game)
+    assert enumerate_equilibria(game) == expected
+    found = set(expected)
+    for profile in game.profiles():
+        assert is_equilibrium(game, profile) == (profile in found)
+
+
+SIGNED_VALUES = (Fraction(-2), Fraction(-1, 2), 0, Fraction(1, 3), 1, Fraction(5, 2))
+
+
+class TestAgainstDeviationOracle:
+    @given(games(max_players=4, values=SIGNED_VALUES))
+    def test_negative_and_fractional_payoffs(self, game):
+        assert_matches_oracle(game)
+
+    @given(games(max_players=4, values=(0, 1, 2), drop_cells=True))
+    def test_dropped_cells_and_empty_tables(self, game):
+        assert_matches_oracle(game)
+
+    def test_empty_tables_kept_by_the_constructor(self):
+        # Game.of drops empty tables; the constructor itself keeps them
+        graph = builtin_graph("triangle")
+        strategies = {p: ("0", "1") for p in graph.players}
+        game = Game(graph, strategies, {"a": {}, "b": {("1", "0", "1"): Fraction(1)}})
+        assert_matches_oracle(game)
+        assert len(enumerate_equilibria(game)) == 7  # all but a=1 b=1 c=1
+
+    @given(games(max_players=4, max_strategies=1, values=SIGNED_VALUES))
+    def test_one_strategy_players(self, game):
+        assert_matches_oracle(game)
+        assert len(enumerate_equilibria(game)) == 1
+
+    def test_one_strategy_players_among_others(self):
+        graph = builtin_graph("gamma1")
+        strategies = {"a": ("0", "1"), "b": ("x",), "c": ("0", "1", "2"), "d": ("y",)}
+        payoffs = {
+            "b": {("1", "x", "2"): 1},
+            "c": {("x", "0", "y"): 1, ("x", "2", "y"): 1},
+        }
+        game = Game.of(graph, strategies, payoffs)
+        assert_matches_oracle(game)
+        assert enumerate_equilibria(game) == (
+            ("0", "x", "0", "y"), ("0", "x", "2", "y"),
+            ("1", "x", "0", "y"), ("1", "x", "2", "y"))
+
+    @pytest.mark.parametrize("graph_name", ["gamma1", "gamma4", "gamma5", "triangle"])
+    @pytest.mark.parametrize("max_strategies", [2, 3])
+    def test_seeded_random_games(self, graph_name, max_strategies):
+        graph = builtin_graph(graph_name)
+        bounds = SearchBounds(max_strategies=max_strategies,
+                              payoff_values=(0, 1, 2), seed=20130304)
+        for index in range(25):
+            assert_matches_oracle(random_game(graph, bounds, index))
+
+
+def _mapped_game(game, names, order, relabel, scale):
+    """The same game under renamed players, declaration `order` (old names),
+    relabelled and reordered strategies, and payoffs u -> a*u + b per player.
+
+    `relabel[p]` maps p's old labels to new ones in the new declaration order;
+    `scale[p]` is (a, b).  Every local cell is written, since a missing cell
+    is payoff 0 and maps to b, not to a missing cell.
+    """
+    old = game.graph
+    graph = DependencyGraph.of([names[p] for p in order],
+                               [(names[u], names[v]) for u, v in old.edges])
+    strategies = {names[p]: tuple(relabel[p].values()) for p in order}
+    payoffs = {}
+    for p in order:
+        a, b = scale[p]
+        old_local = old.local_order(p)
+        new_local = [q for q in order if q in old_local]
+        table = game.payoffs.get(p, {})
+        cells = {}
+        for key in itertools.product(*(game.strategies[q] for q in new_local)):
+            assignment = dict(zip(new_local, key))
+            value = table.get(tuple(assignment[q] for q in old_local), Fraction(0))
+            cells[tuple(relabel[q][label] for q, label in zip(new_local, key))] = a * value + b
+        payoffs[names[p]] = cells
+    return Game.of(graph, strategies, payoffs)
+
+
+def _mapped_profiles(game, profiles, names, relabel):
+    return {frozenset((names[p], relabel[p][label])
+                      for p, label in profile_to_mapping(game.graph, profile).items())
+            for profile in profiles}
+
+
+def _as_mappings(game, profiles):
+    return {frozenset(profile_to_mapping(game.graph, profile).items())
+            for profile in profiles}
+
+
+class TestMetamorphic:
+    """The equilibrium set maps exactly under symmetries of the game."""
+
+    @staticmethod
+    def identity(game):
+        names = {p: p for p in game.graph.players}
+        relabel = {p: {label: label for label in game.strategies[p]}
+                   for p in game.graph.players}
+        scale = {p: (1, 0) for p in game.graph.players}
+        return names, list(game.graph.players), relabel, scale
+
+    @given(games(max_players=4, values=(0, 1, 2), drop_cells=True))
+    def test_renaming_players(self, game):
+        names, order, relabel, scale = self.identity(game)
+        names = {p: f"renamed_{p.upper()}" for p in order}
+        renamed = _mapped_game(game, names, order, relabel, scale)
+        assert enumerate_equilibria(renamed) == enumerate_equilibria(game)
+
+    @given(games(max_players=4, values=(0, 1, 2), drop_cells=True), st.data())
+    def test_reordering_player_declarations(self, game, data):
+        names, order, relabel, scale = self.identity(game)
+        order = data.draw(st.permutations(order))
+        reordered = _mapped_game(game, names, order, relabel, scale)
+        assert (_as_mappings(reordered, enumerate_equilibria(reordered))
+                == _as_mappings(game, enumerate_equilibria(game)))
+
+    @given(games(max_players=4, values=(0, 1, 2), drop_cells=True), st.data())
+    def test_relabelling_and_reordering_strategies(self, game, data):
+        names, order, relabel, scale = self.identity(game)
+        for p in order:
+            shuffled = data.draw(st.permutations(game.strategies[p]))
+            relabel[p] = {label: f"s{label}_{p}" for label in shuffled}
+        relabelled = _mapped_game(game, names, order, relabel, scale)
+        assert (_as_mappings(relabelled, enumerate_equilibria(relabelled))
+                == _mapped_profiles(game, enumerate_equilibria(game), names, relabel))
+
+    @given(games(max_players=4, values=SIGNED_VALUES, drop_cells=True), st.data())
+    def test_positive_affine_payoffs(self, game, data):
+        names, order, relabel, scale = self.identity(game)
+        factors = st.sampled_from([Fraction(1, 3), Fraction(1), Fraction(7, 2), Fraction(40)])
+        shifts = st.sampled_from([Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(5)])
+        scale = {p: (data.draw(factors), data.draw(shifts)) for p in order}
+        scaled = _mapped_game(game, names, order, relabel, scale)
+        assert enumerate_equilibria(scaled) == enumerate_equilibria(game)
+
+
+class TestEdgeCases:
+    def test_long_path_of_one_strategy_players(self):
+        # deep enough that a recursive search over players would overflow
+        players = [f"p{i}" for i in range(3000)]
+        graph = DependencyGraph.of(players, zip(players, players[1:]))
+        strategies = {p: ("s",) for p in players}
+        payoffs = {p: {("s",) * len(graph.local_order(p)): 1} for p in players}
+        game = Game.of(graph, strategies, payoffs)
+        assert enumerate_equilibria(game) == (("s",) * 3000,)
+
+    def test_mean_mod_31_is_the_arithmetic_progressions(self):
+        game = builtin_game("gamma1_mean_mod(31)")
+        started = time.perf_counter()
+        found = enumerate_equilibria(game)
+        elapsed = time.perf_counter() - started
+        assert len(found) == 31 * 31
+        for profile in found:
+            a, b, c, d = map(int, profile)
+            assert (b - a) % 31 == (c - b) % 31 == (d - c) % 31
+        assert elapsed < 5.0, f"gamma1_mean_mod(31) took {elapsed:.1f}s"
 
 
 class TestSpliceClosure:
