@@ -87,6 +87,7 @@ class DependencyGraph:
     edges: frozenset[tuple[str, str]]
     _adjacency: dict = field(default=None, compare=False, repr=False)
     _index: dict = field(default=None, compare=False, repr=False)
+    _local: dict = field(default=None, compare=False, repr=False)
 
     @classmethod
     def of(cls, players: Iterable[str],
@@ -120,6 +121,9 @@ class DependencyGraph:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_adjacency",
                            {v: frozenset(ns) for v, ns in adjacency.items()})
+        object.__setattr__(self, "_local", {
+            v: tuple(sorted(ns | {v}, key=index.__getitem__))
+            for v, ns in adjacency.items()})
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -152,8 +156,8 @@ class DependencyGraph:
 
     def local_order(self, name: str) -> tuple[str, ...]:
         """Closed neighbourhood as a tuple in declaration order (payoff key order)."""
-        members = self.closed_neighborhood(name)
-        return tuple(p for p in self.players if p in members)
+        self.index(name)
+        return self._local[name]
 
     def border(self, region: Iterable[str]) -> PlayerSet:
         """Members of `region` with at least one neighbour outside it."""

@@ -21,7 +21,6 @@ from fractions import Fraction
 from .core import Game, InputError, ResourceLimitError, StrategyProfile
 
 __all__ = [
-    "DEFAULT_PROFILE_CAP",
     "enumerate_equilibria",
     "equilibria",
     "is_equilibrium",
@@ -33,29 +32,11 @@ DEFAULT_PROFILE_CAP = 10_000_000
 _ZERO = Fraction(0)
 
 
-def _layout(game: Game):
-    """Per-player lookup structure: (local indices, own slot, table, labels)."""
-    layout = game._cache.get("layout")
-    if layout is None:
-        graph = game.graph
-        layout = []
-        for player in graph.players:
-            local = graph.local_order(player)
-            indices = tuple(graph.index(w) for w in local)
-            layout.append((indices,
-                           local.index(player),
-                           game.payoffs.get(player, {}),
-                           game.strategies[player]))
-        layout = tuple(layout)
-        game._cache["layout"] = layout
-    return layout
-
-
 def payoff_of(game: Game, player: str, profile: StrategyProfile) -> Fraction:
     """Payoff of one player; reads only the closed neighbourhood of `player`."""
-    indices, _, table, _ = _layout(game)[game.graph.index(player)]
-    key = tuple(profile[i] for i in indices)
-    return table.get(key, _ZERO)
+    graph = game.graph
+    key = tuple(profile[graph.index(w)] for w in graph.local_order(player))
+    return game.payoffs.get(player, {}).get(key, _ZERO)
 
 
 def _best_labels(table, labels, slot, row) -> frozenset[str]:
@@ -70,8 +51,12 @@ def _best_labels(table, labels, slot, row) -> frozenset[str]:
     return frozenset(label for label, value in zip(labels, values) if value == best)
 
 
-def _neighbours(indices, slot):
-    return indices[:slot] + indices[slot + 1:]
+def _neighbours(graph, player: str) -> tuple[tuple[int, ...], int]:
+    """Indices of the neighbours of `player` in declaration order, and the
+    slot of `player` itself in its payoff keys."""
+    local = graph.local_order(player)
+    slot = local.index(player)
+    return tuple(graph.index(w) for w in local[:slot] + local[slot + 1:]), slot
 
 
 def is_equilibrium(game: Game, profile: StrategyProfile) -> bool:
@@ -81,10 +66,14 @@ def is_equilibrium(game: Game, profile: StrategyProfile) -> bool:
     payoff leaves the profile in equilibrium.
     """
     game.check_profile(profile)
-    for player_index, (indices, slot, table, labels) in enumerate(_layout(game)):
+    graph = game.graph
+    for player_index, player in enumerate(graph.players):
+        table = game.payoffs.get(player)
         if table:
-            row = tuple(profile[i] for i in _neighbours(indices, slot))
-            if profile[player_index] not in _best_labels(table, labels, slot, row):
+            neighbours, slot = _neighbours(graph, player)
+            row = tuple(profile[i] for i in neighbours)
+            if profile[player_index] not in _best_labels(
+                    table, game.strategies[player], slot, row):
                 return False
     return True
 
@@ -97,15 +86,19 @@ def _join_plan(game: Game):
     """
     plan = game._cache.get("join_plan")
     if plan is None:
-        players = game.graph.players
+        graph = game.graph
+        players = graph.players
         plan = [[] for _ in players]
-        for player_index, (indices, slot, table, labels) in enumerate(_layout(game)):
+        for player_index, player in enumerate(players):
+            table = game.payoffs.get(player)
             if not table:
                 continue
-            neighbours = _neighbours(indices, slot)
+            neighbours, slot = _neighbours(graph, player)
+            labels = game.strategies[player]
             rows = itertools.product(*(game.strategies[players[i]] for i in neighbours))
             best = {row: _best_labels(table, labels, slot, row) for row in rows}
-            plan[indices[-1]].append((player_index, neighbours, best))
+            last = graph.index(graph.local_order(player)[-1])
+            plan[last].append((player_index, neighbours, best))
         plan = tuple(map(tuple, plan))
         game._cache["join_plan"] = plan
     return plan

@@ -55,7 +55,6 @@ __all__ = [
     "ParseError",
     "ScopeError",
     "format_player_set",
-    "format_rational",
     "parse_atom",
     "parse_formula",
     "parse_game",
@@ -117,12 +116,12 @@ def _parse_graph_lines(lines, extra_directives=()):
         raise ParseError(number, f"expected a players line first, got {tokens[0]!r}")
     if len(tokens) < 2:
         raise ParseError(number, "players line declares no players")
-    players = []
+    players: dict[str, None] = {}  # a dict keeps declaration order and looks up in O(1)
     for name in tokens[1:]:
         _checked(number, check_player_name, name)
         if name in players:
             raise ParseError(number, f"duplicate player {name!r}")
-        players.append(name)
+        players[name] = None
     edges: list[tuple[int, tuple[str, str]]] = []
     rest: list[tuple[int, list[str]]] = []
     seen_pairs = set()
@@ -150,8 +149,8 @@ def _parse_graph_lines(lines, extra_directives=()):
         else:
             raise ParseError(number, f"unknown directive {directive!r}")
     if extra_directives:
-        return players, edges, rest
-    return players, edges
+        return list(players), edges, rest
+    return list(players), edges
 
 
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z")
@@ -168,10 +167,6 @@ def parse_rational(token: str, line: int = 1) -> Fraction:
     if denominator == 0:
         raise ParseError(line, f"rational {token!r} has a zero denominator")
     return Fraction(numerator, denominator)
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 _ASSIGNMENT_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)=([A-Za-z0-9_]+)\Z")
@@ -262,7 +257,7 @@ def print_game(game: Game) -> str:
         ranks = [{label: i for i, label in enumerate(game.strategies[w])} for w in local]
         for key in sorted(table, key=lambda k: tuple(r[l] for r, l in zip(ranks, k))):
             cells = " ".join(f"{w}={label}" for w, label in zip(local, key))
-            lines.append(f"payoff {player} {cells} {format_rational(table[key])}")
+            lines.append(f"payoff {player} {cells} {table[key]}")
     return "\n".join(lines) + "\n"
 
 

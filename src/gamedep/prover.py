@@ -24,10 +24,18 @@ closure cl(X) of players derivable from X, as the least fixpoint of
 Rule (iii) uses only the finest split of X across the cut; any coarser
 split produces a superset of that left side and is therefore subsumed
 once monotonicity (a special case of (ii)) is available.  A goal
-`A |> B` is derivable iff B lies inside cl(A).  Saturation proceeds in
-snapshot sweeps and records the sweep at which each fact first appeared,
-which lets `derive_tree` rebuild an explicit, independently checkable
-derivation by running the producing rule of each fact backwards.
+`A |> B` is derivable iff B lies inside cl(A).
+
+The cuts enter through one cut table, built from the graph once per
+saturation: for each vertex v, every left side U with v outside it, in
+ascending order, with the mask of border(U) | border(W).  Rule (iii) for
+c = v reads row v, and the tree builder searches the same row for the cut
+that produced a fact.
+
+Saturation proceeds in snapshot sweeps and records the sweep at which
+each fact first appeared, which lets `derive_tree` rebuild an explicit,
+independently checkable derivation by running the producing rule of each
+fact backwards.
 """
 
 from __future__ import annotations
@@ -165,7 +173,9 @@ def _check_size(graph: DependencyGraph) -> int:
     return n
 
 
-def _border_table(graph: DependencyGraph) -> np.ndarray:
+def _cut_table(graph: DependencyGraph) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each vertex v: the left sides U with v not in U, ascending, and
+    the mask of border(U) | border(W) for each, where W is the complement of U."""
     n = len(graph.players)
     size = 1 << n
     ids = np.arange(size, dtype=np.int64)
@@ -175,19 +185,27 @@ def _border_table(graph: DependencyGraph) -> np.ndarray:
         inside = (ids >> v & 1) == 1
         escaping = (~ids & adj) != 0
         border |= np.where(inside & escaping, np.int64(1 << v), np.int64(0))
-    return border
+    full = size - 1
+    table = []
+    for v in range(n):
+        us = ids[(ids >> v & 1) == 0]
+        table.append((us, border[us] | border[full ^ us]))
+    return table
 
 
 @dataclass
 class ClosureTable:
-    """Saturated closure of every vertex subset under the hypotheses."""
+    """Saturated closure of every vertex subset under the hypotheses.
+
+    `_cuts` is the cut table saturation read, kept for the tree builder.
+    """
 
     graph: DependencyGraph
     hypotheses: Hypotheses
     _cl: np.ndarray
     _wave: np.ndarray          # _wave[X, v]: sweep where v entered cl(X), -1 if never
     _kinds: tuple[str, ...]    # sweep kinds; index 0 is the seeding
-    _border: np.ndarray
+    _cuts: list[tuple[np.ndarray, np.ndarray]]
 
     def closure_mask(self, lhs_mask: int) -> int:
         return int(self._cl[lhs_mask])
@@ -211,9 +229,8 @@ def saturate(graph: DependencyGraph,
         graph.check_players(atom.rhs)
 
     size = 1 << n
-    full = size - 1
     identity = np.arange(size, dtype=np.int64)
-    border = _border_table(graph)
+    cuts = _cut_table(graph)
     cl = identity.copy()
     wave = np.full((size, n), -1, dtype=np.int16)
     for v in range(n):
@@ -227,9 +244,6 @@ def saturate(graph: DependencyGraph,
             if fresh >> v & 1:
                 wave[lhs, v] = 0
     kinds = ["seed"]
-
-    us_without = [np.array([u for u in range(size) if not u >> v & 1], dtype=np.int64)
-                  for v in range(n)]
 
     def record(new: np.ndarray, kind: str) -> bool:
         nonlocal cl
@@ -261,8 +275,7 @@ def saturate(graph: DependencyGraph,
             sources = np.nonzero(cl & bit)[0]
             if not sources.size:
                 continue
-            us = us_without[v]
-            base = border[us] | border[full ^ us]
+            us, base = cuts[v]
             targets = base[:, None] | (sources[None, :] & ~us[:, None])
             flags = np.zeros(size, dtype=bool)
             flags[targets.ravel()] = True
@@ -272,7 +285,7 @@ def saturate(graph: DependencyGraph,
         if not progressed:
             break
 
-    return ClosureTable(graph, hypotheses, cl, wave, tuple(kinds), border)
+    return ClosureTable(graph, hypotheses, cl, wave, tuple(kinds), cuts)
 
 
 def derives(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
@@ -287,16 +300,12 @@ class _TreeBuilder:
         self.table = table
         self.graph = table.graph
         self.n = len(table.graph.players)
-        self.size = 1 << self.n
-        self.full = self.size - 1
-        self.ids = np.arange(self.size, dtype=np.int64)
+        self.full = (1 << self.n) - 1
+        self.ids = np.arange(1 << self.n, dtype=np.int64)
         self.steps: list[Step] = []
         self.memo: dict[Atom, int] = {}
         self.hyp_masks = [(self.graph.mask_of(a.lhs), self.graph.mask_of(a.rhs), a)
                           for a in table.hypotheses]
-        self.us_without = [
-            np.array([u for u in range(self.size) if not u >> v & 1], dtype=np.int64)
-            for v in range(self.n)]
 
     def players_of(self, mask: int) -> PlayerSet:
         return self.graph.players_of_mask(mask)
@@ -369,8 +378,7 @@ class _TreeBuilder:
         column = self.table._wave[:, v]
         sources = [int(s) for s in np.nonzero((column >= 0) & (column < sweep))[0]]
         sources.sort(key=lambda m: (m.bit_count(), m))
-        us = self.us_without[v]
-        base = self.table._border[us] | self.table._border[self.full ^ us]
+        us, base = self.table._cuts[v]
         for source in sources:
             matches = us[(base | (source & ~us)) == x]
             if matches.size:

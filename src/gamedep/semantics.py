@@ -16,40 +16,36 @@ from .equilibrium import equilibria
 __all__ = ["depends", "determined_players", "holds"]
 
 
-def depends(game: Game, lhs: Iterable[str], rhs: Iterable[str]) -> bool:
-    """True iff equilibria agreeing on `lhs` always agree on `rhs`.
+def _constant_within_groups(game: Game, lhs: Iterable[str],
+                            candidates: Iterable[str]) -> frozenset[str]:
+    """The candidates whose strategy is constant within every lhs-group.
 
-    Implemented by grouping the equilibrium set on the lhs projection,
-    one pass, rather than comparing all pairs.
+    One pass groups the equilibrium set on the lhs projection; it stops
+    once no candidate is left.
     """
     graph = game.graph
     lhs_indices = [graph.index(p) for p in graph.sorted_players(lhs)]
-    rhs_indices = [graph.index(p) for p in graph.sorted_players(rhs)]
+    remaining = {graph.index(p) for p in graph.check_players(candidates)}
     groups: dict[tuple[str, ...], tuple[str, ...]] = {}
     for profile in equilibria(game):
+        if not remaining:
+            break
         key = tuple(profile[i] for i in lhs_indices)
-        reference = groups.get(key)
-        if reference is None:
-            groups[key] = profile
-        elif any(profile[i] != reference[i] for i in rhs_indices):
-            return False
-    return True
+        reference = groups.setdefault(key, profile)
+        if reference is not profile:
+            remaining = {i for i in remaining if profile[i] == reference[i]}
+    return frozenset(graph.players[i] for i in remaining)
+
+
+def depends(game: Game, lhs: Iterable[str], rhs: Iterable[str]) -> bool:
+    """True iff equilibria agreeing on `lhs` always agree on `rhs`."""
+    rhs = frozenset(rhs)
+    return _constant_within_groups(game, lhs, rhs) == rhs
 
 
 def determined_players(game: Game, lhs: Iterable[str]) -> frozenset[str]:
     """The largest B with `lhs |> B` true: players constant within every lhs-group."""
-    graph = game.graph
-    lhs_indices = [graph.index(p) for p in graph.sorted_players(lhs)]
-    candidates = set(range(len(graph.players)))
-    groups: dict[tuple[str, ...], tuple[str, ...]] = {}
-    for profile in equilibria(game):
-        key = tuple(profile[i] for i in lhs_indices)
-        reference = groups.get(key)
-        if reference is None:
-            groups[key] = profile
-        else:
-            candidates -= {i for i in candidates if profile[i] != reference[i]}
-    return frozenset(graph.players[i] for i in candidates)
+    return _constant_within_groups(game, lhs, game.graph.players)
 
 
 def holds(game: Game, formula: Formula) -> bool:

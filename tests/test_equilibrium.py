@@ -23,6 +23,7 @@ from gamedep.equilibrium import (
     is_equilibrium,
     payoff_of,
 )
+from gamedep.parser import parse_game, print_game
 from gamedep.search import SearchBounds, builtin_game, builtin_graph, random_game
 
 from generators import cuts, games
@@ -250,13 +251,18 @@ class TestMetamorphic:
 
 class TestEdgeCases:
     def test_long_path_of_one_strategy_players(self):
-        # deep enough that a recursive search over players would overflow
-        players = [f"p{i}" for i in range(3000)]
+        # deep enough that a recursive search over players would overflow, and
+        # long enough that work quadratic in the player count shows in the time
+        started = time.perf_counter()
+        players = [f"p{i}" for i in range(10_000)]
         graph = DependencyGraph.of(players, zip(players, players[1:]))
         strategies = {p: ("s",) for p in players}
         payoffs = {p: {("s",) * len(graph.local_order(p)): 1} for p in players}
         game = Game.of(graph, strategies, payoffs)
-        assert enumerate_equilibria(game) == (("s",) * 3000,)
+        assert enumerate_equilibria(game) == (("s",) * 10_000,)
+        assert parse_game(print_game(game)) == game
+        elapsed = time.perf_counter() - started
+        assert elapsed < 5.0, f"10,000-player path took {elapsed:.1f}s"
 
     def test_mean_mod_31_is_the_arithmetic_progressions(self):
         game = builtin_game("gamma1_mean_mod(31)")

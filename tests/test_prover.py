@@ -1,11 +1,14 @@
 """Tests for the derivability engine, proof objects, and the proof checker."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gamedep.core import Atom, Cut, DependencyGraph, InputError, ResourceLimitError
-from gamedep.parser import ParseError
+from gamedep.parser import ParseError, parse_atom
 from gamedep.prover import (
     MAX_SATURATION_VERTICES,
     Augmentation,
@@ -17,6 +20,7 @@ from gamedep.prover import (
     Reflexivity,
     Step,
     Transitivity,
+    _cut_table,
     check_derivation,
     derive_tree,
     derives,
@@ -86,6 +90,27 @@ class TestSaturate:
         graph = builtin_graph("gamma3")
         with pytest.raises(InputError, match="unknown player"):
             saturate(graph, [atom("a", "z")])
+
+    def test_cut_table_lists_every_cut_and_its_borders(self):
+        graphs = [builtin_graph(name) for name in
+                  ("gamma1", "gamma2", "gamma3", "gamma4", "gamma5", "triangle", "pair")]
+        rng = random.Random(3)
+        for _ in range(60):
+            players = list("abcdefg"[:rng.randint(1, 7)])
+            rng.shuffle(players)
+            edges = [e for e in itertools.combinations(players, 2) if rng.random() < 0.4]
+            graphs.append(DependencyGraph.of(players, edges))
+        for graph in graphs:
+            n = len(graph.players)
+            table = _cut_table(graph)
+            assert len(table) == n
+            for v, (us, borders) in enumerate(table):
+                expected = [u for u in range(1 << n) if not u >> v & 1]
+                assert us.tolist() == expected
+                for u, border in zip(expected, borders.tolist()):
+                    left = graph.players_of_mask(u)
+                    right = graph.complement(left)
+                    assert border == graph.mask_of(graph.border(left) | graph.border(right))
 
     def test_size_guard(self):
         names = [f"p{i}" for i in range(MAX_SATURATION_VERTICES + 1)]
@@ -416,6 +441,74 @@ class TestSparseSetPrinciple:
         assert check_derivation(graph, hyps, tree)
 
 
+# Derivations printed by derive_tree, recorded so that a change to the closure
+# table or the tree builder that alters any proof shows up: (graph as builtin
+# name or (players, edges), hypotheses, goal, printed derivation).
+PINNED_DERIVATIONS = [
+    pytest.param(("a b c d e f g h i", "a-b b-c c-d d-e e-f f-g g-h h-i"),
+                 ["e |> b", "a,i |> d", "i |> a"], "c,d,e,g |> a,b",
+                 '1. i |> a [Hypothesis]\n'
+                 '2. b,c |> a [Contiguity 1 cut={c,d,e,f,g,h,i}|{a,b} A={i}]\n'
+                 '3. e |> b [Hypothesis]\n'
+                 '4. c,d,e,g |> b [LeftMonotonicity 3 add={c,d,g}]\n'
+                 '5. c,d,e,g |> b,c [Augmentation 4 C={c}]\n'
+                 '6. c,d,e,g |> a [Transitivity 5 2]\n'
+                 '7. c,d,e,g |> a,c,d,e,g [Augmentation 6 C={c,d,e,g}]\n'
+                 '8. a,c,d,e,g |> a,b [Augmentation 4 C={a}]\n'
+                 '9. c,d,e,g |> a,b [Transitivity 7 8]\n', id="path9"),
+    pytest.param(("a b c d e f", "a-b b-c c-d d-e e-f f-a"),
+                 ["c |> f", "d,e |> b"], "a,c,d |> b,f",
+                 '1. d,e |> b [Hypothesis]\n'
+                 '2. a,c,d,f |> b [Contiguity 1 cut={d,e,f}|{a,b,c} A={d,e}]\n'
+                 '3. c |> f [Hypothesis]\n'
+                 '4. a,c,d |> f [LeftMonotonicity 3 add={a,d}]\n'
+                 '5. a,c,d |> a,c,d,f [Augmentation 4 C={a,c,d}]\n'
+                 '6. a,c,d |> b [Transitivity 5 2]\n'
+                 '7. a,c,d |> a,b,c,d [Augmentation 6 C={a,c,d}]\n'
+                 '8. a,b,c,d |> b,f [Augmentation 4 C={b}]\n'
+                 '9. a,c,d |> b,f [Transitivity 7 8]\n', id="cycle6"),
+    pytest.param(("a b c d e f g h", "a-b b-c c-d d-e e-f f-g g-h h-a"),
+                 ["b |> e", "c,d |> g"], "b,c,f,h |> e,g",
+                 '1. b |> e [Hypothesis]\n'
+                 '2. b,c,f,h |> e [LeftMonotonicity 1 add={c,f,h}]\n'
+                 '3. b,c,f,h |> b,c,e,f,h [Augmentation 2 C={b,c,f,h}]\n'
+                 '4. c,d |> g [Hypothesis]\n'
+                 '5. b,c,e,f |> g [Contiguity 4 cut={c,d,e}|{a,b,f,g,h} A={c,d}]\n'
+                 '6. b,c,f,h |> b,c,e,f [Augmentation 2 C={b,c,f}]\n'
+                 '7. b,c,f,h |> g [Transitivity 6 5]\n'
+                 '8. b,c,e,f,h |> e,g [Augmentation 7 C={e}]\n'
+                 '9. b,c,f,h |> e,g [Transitivity 3 8]\n', id="cycle8"),
+    pytest.param(("a b c d e f g h", "a-b b-c c-d e-f f-g g-h a-e b-f c-g d-h"),
+                 ["g,h |> b", "d |> a", "e |> a"], "c,f,g,h |> a,b",
+                 '1. d |> a [Hypothesis]\n'
+                 '2. b,c,f,g |> a [Contiguity 1 cut={c,d,g,h}|{a,b,e,f} A={d}]\n'
+                 '3. g,h |> b [Hypothesis]\n'
+                 '4. c,f,g,h |> b [LeftMonotonicity 3 add={c,f}]\n'
+                 '5. c,f,g,h |> b,c,f,g [Augmentation 4 C={c,f,g}]\n'
+                 '6. c,f,g,h |> a [Transitivity 5 2]\n'
+                 '7. c,f,g,h |> a,c,f,g,h [Augmentation 6 C={c,f,g,h}]\n'
+                 '8. a,c,f,g,h |> a,b [Augmentation 4 C={a}]\n'
+                 '9. c,f,g,h |> a,b [Transitivity 7 8]\n', id="ladder8"),
+    pytest.param("gamma4", ["a,c |> e"], "b,c,d |> e",
+                 '1. a,c |> e [Hypothesis]\n'
+                 '2. b,c,d |> e [Contiguity 1 cut={a,b,c}|{d,e} A={a,c}]\n', id="gamma4"),
+    pytest.param("gamma5", ["a |> b", "b |> c", "c |> a"], "d,e,f |> a,b,c",
+                 '1. c |> a [Hypothesis]\n'
+                 '2. b |> c [Hypothesis]\n'
+                 '3. b |> a [Transitivity 2 1]\n'
+                 '4. d,e,f |> a [Contiguity 3 cut={b,e}|{a,c,d,f} A={b}]\n'
+                 '5. d,e,f |> a,d,e,f [Augmentation 4 C={d,e,f}]\n'
+                 '6. a |> b [Hypothesis]\n'
+                 '7. d,e,f |> b [Contiguity 6 cut={a,d}|{b,c,e,f} A={a}]\n'
+                 '8. a,d,e,f |> a,b,d,e,f [Augmentation 7 C={a,d,e,f}]\n'
+                 '9. d,e,f |> a,b,d,e,f [Transitivity 5 8]\n'
+                 '10. a |> c [Transitivity 6 2]\n'
+                 '11. d,e,f |> c [Contiguity 10 cut={a,d}|{b,c,e,f} A={a}]\n'
+                 '12. a,b,d,e,f |> a,b,c [Augmentation 11 C={a,b}]\n'
+                 '13. d,e,f |> a,b,c [Transitivity 9 12]\n', id="gamma5"),
+]
+
+
 class TestSerialization:
     def roundtrip(self, graph, hyps, tree):
         text = print_derivation(tree, graph)
@@ -429,6 +522,20 @@ class TestSerialization:
         text = print_derivation(tree, graph)
         assert text == ("1. a |> d [Hypothesis]\n"
                         "2. b,c |> d [Contiguity 1 cut={a,b}|{c,d} A={a}]\n")
+
+    @pytest.mark.parametrize("spec, hyps, goal, text", PINNED_DERIVATIONS)
+    def test_derivations_print_as_recorded(self, spec, hyps, goal, text):
+        if isinstance(spec, str):
+            graph = builtin_graph(spec)
+        else:
+            players, edges = spec
+            graph = DependencyGraph.of(players.split(),
+                                       [tuple(e.split("-")) for e in edges.split()])
+        hyps = [parse_atom(h, graph) for h in hyps]
+        goal = parse_atom(goal, graph)
+        tree = derive_tree(graph, hyps, goal.lhs, goal.rhs)
+        assert print_derivation(tree, graph) == text
+        self.roundtrip(graph, Hypotheses.of(hyps), tree)
 
     def test_proposition_trees_round_trip(self):
         gamma1 = builtin_graph("gamma1")

@@ -1,9 +1,10 @@
 """Dependence atoms and formula truth over the equilibrium set."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gamedep.core import FALSUM, Atom, Game, Implication
+from gamedep.core import FALSUM, Atom, Game, Implication, InputError
 from gamedep.equilibrium import equilibria
 from gamedep.search import builtin_game, builtin_graph
 from gamedep.semantics import depends, determined_players, holds
@@ -38,6 +39,21 @@ class TestDepends:
                          "b": {("0", "1"): 1, ("1", "0"): 1}})
         assert equilibria(chase) == ()
         assert depends(chase, set(), {"a", "b"})
+
+    def test_unknown_players_are_rejected_on_either_side(self):
+        parity = builtin_game("parity")
+        chase = Game.of(builtin_graph("pair"), {"a": ("0", "1"), "b": ("0", "1")},
+                        {"a": {("0", "0"): 1, ("1", "1"): 1},
+                         "b": {("0", "1"): 1, ("1", "0"): 1}})
+        for game in (parity, chase):  # chase has no equilibria to scan
+            with pytest.raises(InputError, match="unknown player 'z'"):
+                depends(game, {"z"}, {"a"})
+            with pytest.raises(InputError, match="unknown player 'z'"):
+                depends(game, {"a"}, {"z"})
+            with pytest.raises(InputError, match="unknown player 'z'"):
+                depends(game, set(), {"z"})
+            with pytest.raises(InputError, match="unknown player 'z'"):
+                determined_players(game, {"a", "z"})
 
 
 class TestDeterminedPlayers:
