@@ -26,16 +26,37 @@ split produces a superset of that left side and is therefore subsumed
 once monotonicity (a special case of (ii)) is available.  A goal
 `A |> B` is derivable iff B lies inside cl(A).
 
+Saturation proceeds in snapshot sweeps: each sweep applies one rule to
+every row of the table as it stood before the sweep.  Chain sweeps, for
+rule (ii), repeat until nothing changes; then one Contiguity sweep, for
+rule (iii), runs, and the two alternate until neither adds a fact.
+
+A chain sweep is a subset-OR transform: up[Z], the union of cl(Y) over all
+Y inside Z, is built in place in n passes (pass v ORs each row without
+vertex v into the row with it), and the new row X is up[cl(X)].  Rows with
+cl(Y) = Y add only Y, which cl(X) already holds, so this equals absorbing
+every cl(Y) with Y inside cl(X) one Y at a time.
+
+A Contiguity sweep reads the cut-pair table.  It runs only after the chain
+sweeps reached their fixpoint, where cl is monotone: X inside X' lies
+inside cl(X'), so a chain sweep would add cl(X) to cl(X'), and at the
+fixpoint it adds nothing.  So for each vertex v the sources
+{X : v in cl(X)} form an up-set.  For a cut (U, W) with v in W, the distinct parts X minus U
+kept by those sources are therefore exactly the Y inside W with v in
+cl(U | Y).  The table lists every pair (U, Y inside W), 3^n in all, with
+key U | Y, target border(U) | border(W) | Y and mask W, and the sweep ORs
+cl(key) & W into the row of each target.  That is rule (iii) for every
+source, every cut and every c at once, exactly.
+
 The cuts enter through one cut table, built from the graph once per
-saturation: for each vertex v, every left side U with v outside it, in
-ascending order, with the mask of border(U) | border(W).  Rule (iii) for
-c = v reads row v, and the tree builder searches the same row for the cut
+saturation from one array of border(U) | border(W): the pair table above,
+and for each vertex v every left side U with v outside it, in ascending
+order, with its border mask.  The tree builder searches row v for the cut
 that produced a fact.
 
-Saturation proceeds in snapshot sweeps and records the sweep at which
-each fact first appeared, which lets `derive_tree` rebuild an explicit,
-independently checkable derivation by running the producing rule of each
-fact backwards.
+Each fact records the sweep at which it first appeared, which lets
+`derive_tree` rebuild an explicit, independently checkable derivation by
+running the producing rule of each fact backwards.
 """
 
 from __future__ import annotations
@@ -173,9 +194,16 @@ def _check_size(graph: DependencyGraph) -> int:
     return n
 
 
-def _cut_table(graph: DependencyGraph) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each vertex v: the left sides U with v not in U, ascending, and
-    the mask of border(U) | border(W) for each, where W is the complement of U."""
+def _cut_table(graph: DependencyGraph) -> tuple[list[tuple[np.ndarray, np.ndarray]],
+                                                tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The cut rows and the cut-pair table, both from one border array.
+
+    Rows: for each vertex v, the left sides U with v not in U, ascending,
+    and the mask of border(U) | border(W) for each, where W is the
+    complement of U.  Pairs: for each U and each Y inside W (3^n pairs, each
+    once), the source key U | Y, the target border(U) | border(W) | Y and
+    the mask W.
+    """
     n = len(graph.players)
     size = 1 << n
     ids = np.arange(size, dtype=np.int64)
@@ -186,18 +214,25 @@ def _cut_table(graph: DependencyGraph) -> list[tuple[np.ndarray, np.ndarray]]:
         escaping = (~ids & adj) != 0
         border |= np.where(inside & escaping, np.int64(1 << v), np.int64(0))
     full = size - 1
-    table = []
+    base = border | border[full ^ ids]
+    rows = []
     for v in range(n):
         us = ids[(ids >> v & 1) == 0]
-        table.append((us, border[us] | border[full ^ us]))
-    return table
+        rows.append((us, base[us]))
+    us = np.zeros(1, dtype=np.int64)
+    ys = np.zeros(1, dtype=np.int64)
+    for v in range(n):
+        bit = np.int64(1 << v)
+        us = np.concatenate((us, us | bit, us))
+        ys = np.concatenate((ys, ys, ys | bit))
+    return rows, (us | ys, base[us] | ys, full ^ us)
 
 
 @dataclass
 class ClosureTable:
     """Saturated closure of every vertex subset under the hypotheses.
 
-    `_cuts` is the cut table saturation read, kept for the tree builder.
+    `_cuts` holds the cut rows saturation built, kept for the tree builder.
     """
 
     graph: DependencyGraph
@@ -230,7 +265,7 @@ def saturate(graph: DependencyGraph,
 
     size = 1 << n
     identity = np.arange(size, dtype=np.int64)
-    cuts = _cut_table(graph)
+    cuts, (keys, targets, outside) = _cut_table(graph)
     cl = identity.copy()
     wave = np.full((size, n), -1, dtype=np.int16)
     for v in range(n):
@@ -262,24 +297,15 @@ def saturate(graph: DependencyGraph,
     while True:
         progressed = False
         while True:
-            new = cl.copy()
-            for y in np.nonzero(cl != identity)[0]:
-                contribution = cl[y]
-                new[(cl & y) == y] |= contribution
-            if not record(new, "chain"):
+            up = cl.copy()
+            for v in range(n):
+                halves = up.reshape(-1, 2, 1 << v)
+                halves[:, 1] |= halves[:, 0]
+            if not record(up[cl], "chain"):
                 break
             progressed = True
         new = cl.copy()
-        for v in range(n):
-            bit = np.int64(1 << v)
-            sources = np.nonzero(cl & bit)[0]
-            if not sources.size:
-                continue
-            us, base = cuts[v]
-            targets = base[:, None] | (sources[None, :] & ~us[:, None])
-            flags = np.zeros(size, dtype=bool)
-            flags[targets.ravel()] = True
-            new[flags] |= bit
+        np.bitwise_or.at(new, targets, cl[keys] & outside)
         if record(new, "contiguity"):
             progressed = True
         if not progressed:
@@ -656,8 +682,14 @@ def _parse_braced_set(token: str, prefix: str, line: int,
     return frozenset(names)
 
 
+def _is_index(token: str) -> bool:
+    """ASCII digits only: str.isdigit also accepts characters such as '²'
+    that int() rejects."""
+    return token.isascii() and token.isdigit()
+
+
 def _parse_premise(token: str, line: int) -> int:
-    if not token.isdigit() or int(token) < 1:
+    if not _is_index(token) or int(token) < 1:
         raise ParseError(line, f"expected a step index, got {token!r}")
     return int(token) - 1
 
@@ -671,7 +703,7 @@ def parse_derivation(text: str, graph: DependencyGraph) -> Derivation:
         head = head.strip()
         rule_text = tail.rstrip()[:-1].strip()
         index_text, dot, atom_text = head.partition(".")
-        if not dot or not index_text.isdigit():
+        if not dot or not _is_index(index_text):
             raise ParseError(number, "step must start with '<index>.'")
         if int(index_text) != len(steps) + 1:
             raise ParseError(number, f"step numbers must be sequential, "

@@ -2,14 +2,17 @@
 
 These are deliberately naive: the equilibrium oracle tries every unilateral
 deviation from every profile, the dependence oracle compares every pair of
-equilibria against the definition, and the derivability oracle saturates the
-full atom space by literal rule applications.  They share no code with the
-implementations under test.
+equilibria against the definition, the derivability oracle saturates the
+full atom space by literal rule applications, and the sweep oracle runs the
+closure table's snapshot sweeps as per-row and per-source broadcasts.  They
+share no code with the implementations under test.
 """
 
 from collections import defaultdict, deque
 from fractions import Fraction
 from itertools import combinations, product
+
+import numpy as np
 
 from gamedep.core import DependencyGraph
 from gamedep.prover import Hypotheses
@@ -117,3 +120,79 @@ def derivable_atoms(graph: DependencyGraph,
             for a in _subsets_of(lhs & u):
                 add(base | (lhs & ~a), rhs)
     return derived
+
+
+def saturate_by_sweeps(graph: DependencyGraph, hypotheses: Hypotheses):
+    """`(cl, wave, kinds)` of the closure table, sweep by sweep.
+
+    The same seeding and the same snapshot sweeps as `prover.saturate`, but
+    the chain sweep absorbs cl[y] into every row whose closure contains y,
+    one row y at a time, and the Contiguity sweep broadcasts every source
+    against every cut.  Borders come from `graph.border`, one subset at a time.
+    """
+    n = len(graph.players)
+    size = 1 << n
+    full = size - 1
+    identity = np.arange(size, dtype=np.int64)
+
+    border = [graph.mask_of(graph.border(graph.players_of_mask(u))) for u in range(size)]
+    cuts = []
+    for v in range(n):
+        us = [u for u in range(size) if not u >> v & 1]
+        cuts.append((np.array(us, dtype=np.int64),
+                     np.array([border[u] | border[full ^ u] for u in us], dtype=np.int64)))
+
+    cl = identity.copy()
+    wave = np.full((size, n), -1, dtype=np.int16)
+    for v in range(n):
+        wave[(identity >> v & 1) == 1, v] = 0
+    for atom in hypotheses:
+        lhs = graph.mask_of(atom.lhs)
+        rhs = graph.mask_of(atom.rhs)
+        fresh = rhs & ~int(cl[lhs])
+        cl[lhs] |= rhs
+        for v in range(n):
+            if fresh >> v & 1:
+                wave[lhs, v] = 0
+    kinds = ["seed"]
+
+    def record(new, kind):
+        nonlocal cl
+        additions = new & ~cl
+        if not additions.any():
+            return False
+        sweep = len(kinds)
+        for v in range(n):
+            rows = np.nonzero(additions & (1 << v))[0]
+            if rows.size:
+                wave[rows, v] = sweep
+        kinds.append(kind)
+        cl = new
+        return True
+
+    while True:
+        progressed = False
+        while True:
+            new = cl.copy()
+            for y in np.nonzero(cl != identity)[0]:
+                contribution = cl[y]
+                new[(cl & y) == y] |= contribution
+            if not record(new, "chain"):
+                break
+            progressed = True
+        new = cl.copy()
+        for v in range(n):
+            bit = np.int64(1 << v)
+            sources = np.nonzero(cl & bit)[0]
+            if not sources.size:
+                continue
+            us, base = cuts[v]
+            targets = base[:, None] | (sources[None, :] & ~us[:, None])
+            flags = np.zeros(size, dtype=bool)
+            flags[targets.ravel()] = True
+            new[flags] |= bit
+        if record(new, "contiguity"):
+            progressed = True
+        if not progressed:
+            break
+    return cl, wave, tuple(kinds)

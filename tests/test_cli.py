@@ -198,6 +198,20 @@ class TestProveCheck:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: line 1")
 
+    @pytest.mark.parametrize("text, expected", [
+        ("². a |> d [Hypothesis]\n",
+         "error: line 1: step must start with '<index>.'\n"),
+        ("1. a |> d [Hypothesis]\n2. a,b |> d [LeftMonotonicity ² add={b}]\n",
+         "error: line 2: expected a step index, got '²'\n"),
+    ], ids=["step-number", "premise-index"])
+    def test_non_ascii_digits_are_a_located_error(self, path_file, tmp_path, capsys,
+                                                   text, expected):
+        proof = tmp_path / "proof.txt"
+        proof.write_text(text, encoding="utf-8")
+        code = main(["prove-check", path_file, str(proof), "--assume", "a |> d"])
+        assert code == 2
+        assert capsys.readouterr().err == expected
+
 
 class TestRefute:
     def test_finds_a_counterexample_game(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -33,11 +34,24 @@ from gamedep.prover import (
 from gamedep.search import builtin_graph
 
 from generators import graphs, player_sets
-from oracles import derivable_atoms
+from oracles import derivable_atoms, saturate_by_sweeps
 
 
 def atom(lhs: str, rhs: str) -> Atom:
     return Atom.of(lhs.split(), rhs.split())
+
+
+def graph_of(spec) -> DependencyGraph:
+    """A built-in graph by name, or one from ("players", "u-v u-v ...")."""
+    if isinstance(spec, str):
+        return builtin_graph(spec)
+    players, edges = spec
+    return DependencyGraph.of(players.split(), [tuple(e.split("-")) for e in edges.split()])
+
+
+# The largest prove-closure benchmark shape: a 12-cycle on which a and c lie
+# at distance 4.
+CYCLE12 = ("a b c d e f g h i j k l", "a-b b-d d-e e-c c-f f-g g-h h-i i-j j-k k-l l-a")
 
 
 class TestHypotheses:
@@ -102,15 +116,36 @@ class TestSaturate:
             graphs.append(DependencyGraph.of(players, edges))
         for graph in graphs:
             n = len(graph.players)
-            table = _cut_table(graph)
-            assert len(table) == n
-            for v, (us, borders) in enumerate(table):
+            full = (1 << n) - 1
+
+            def cut_border(u):
+                left = graph.players_of_mask(u)
+                right = graph.complement(left)
+                return graph.mask_of(graph.border(left) | graph.border(right))
+
+            rows, (keys, targets, outside) = _cut_table(graph)
+            assert len(rows) == n
+            for v, (us, borders) in enumerate(rows):
                 expected = [u for u in range(1 << n) if not u >> v & 1]
                 assert us.tolist() == expected
-                for u, border in zip(expected, borders.tolist()):
-                    left = graph.players_of_mask(u)
-                    right = graph.complement(left)
-                    assert border == graph.mask_of(graph.border(left) | graph.border(right))
+                assert borders.tolist() == [cut_border(u) for u in expected]
+            # every (U, Y inside W) exactly once, with its key and target
+            assert len(keys) == len(targets) == len(outside) == 3 ** n
+            seen = []
+            for key, target, w in zip(keys.tolist(), targets.tolist(), outside.tolist()):
+                u, y = full ^ w, key & w
+                assert key == u | y and target == cut_border(u) | y
+                seen.append((u, y))
+            assert sorted(seen) == [
+                (u, y) for u in range(1 << n) for y in range(1 << n) if y & u == 0]
+
+    def test_twelve_cycle_saturates_within_budget(self):
+        graph = graph_of(CYCLE12)
+        started = time.perf_counter()
+        table = saturate(graph, [atom("a", "c")])
+        elapsed = time.perf_counter() - started
+        assert elapsed < 1.5, f"saturate took {elapsed:.2f}s (budget 1.5s)"
+        assert table.closure({"a"}) == {"a", "c"}
 
     def test_size_guard(self):
         names = [f"p{i}" for i in range(MAX_SATURATION_VERTICES + 1)]
@@ -506,6 +541,10 @@ PINNED_DERIVATIONS = [
                  '11. d,e,f |> c [Contiguity 10 cut={a,d}|{b,c,e,f} A={a}]\n'
                  '12. a,b,d,e,f |> a,b,c [Augmentation 11 C={a,b}]\n'
                  '13. d,e,f |> a,b,c [Transitivity 9 12]\n', id="gamma5"),
+    pytest.param(CYCLE12, ["a |> c"], "b,d,j,k |> c",
+                 '1. a |> c [Hypothesis]\n'
+                 '2. b,d,j,k |> c [Contiguity 1 cut={a,b,k,l}|{c,d,e,f,g,h,i,j} A={a}]\n',
+                 id="cycle12"),
 ]
 
 
@@ -525,12 +564,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("spec, hyps, goal, text", PINNED_DERIVATIONS)
     def test_derivations_print_as_recorded(self, spec, hyps, goal, text):
-        if isinstance(spec, str):
-            graph = builtin_graph(spec)
-        else:
-            players, edges = spec
-            graph = DependencyGraph.of(players.split(),
-                                       [tuple(e.split("-")) for e in edges.split()])
+        graph = graph_of(spec)
         hyps = [parse_atom(h, graph) for h in hyps]
         goal = parse_atom(goal, graph)
         tree = derive_tree(graph, hyps, goal.lhs, goal.rhs)
@@ -664,3 +698,46 @@ class TestOracleAgreement:
             assert tree.conclusion == Atom(frozenset(lhs), frozenset(rhs))
             result = check_derivation(graph, hyps, tree)
             assert result, result.problems
+
+
+def assert_same_sweeps(graph, hyps):
+    table = saturate(graph, hyps)
+    cl, wave, kinds = saturate_by_sweeps(graph, Hypotheses.of(hyps))
+    assert np.array_equal(table._cl, cl)
+    assert np.array_equal(table._wave, wave)
+    assert table._kinds == kinds
+
+
+class TestSweepOracle:
+    """Saturation's sweeps agree, sweep by sweep, with the per-row and
+    per-source broadcasts they replace."""
+
+    @given(graphs(max_players=7), st.data())
+    def test_matches_on_drawn_graphs(self, graph, data):
+        pairs = data.draw(st.lists(st.tuples(player_sets(graph), player_sets(graph)),
+                                   max_size=3))
+        assert_same_sweeps(graph, [Atom(lhs, rhs) for lhs, rhs in pairs])
+
+    def test_matches_on_seeded_graphs_of_8_to_10_players(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            players = list("abcdefghij"[:rng.randint(8, 10)])
+            density = rng.choice((0.1, 0.2, 0.35))
+            edges = [e for e in itertools.combinations(players, 2) if rng.random() < density]
+            hyps = [Atom(frozenset(rng.sample(players, rng.randint(0, 3))),
+                         frozenset(rng.sample(players, rng.randint(1, 2))))
+                    for _ in range(rng.randint(0, 3))]
+            assert_same_sweeps(DependencyGraph.of(players, edges), hyps)
+
+    @pytest.mark.parametrize("spec, hyps", [
+        (("a", ""), []),
+        (("a", ""), [("", "a")]),
+        (("a b c d e", "a-b d-e"), [("a", "b"), ("a", "e")]),
+        (("a b c d e f", "a-b b-c d-e"), [("c", "f"), ("d", "a")]),
+        ("gamma5", []),
+        ("gamma1", [("", "d")]),
+        ("gamma4", [("a c", "a"), ("b c d", "c d")]),
+    ], ids=["one-vertex", "one-vertex-empty-lhs", "disconnected", "isolated-vertex",
+            "no-hypotheses", "empty-lhs", "rhs-inside-lhs"])
+    def test_matches_on_edge_cases(self, spec, hyps):
+        assert_same_sweeps(graph_of(spec), [atom(lhs, rhs) for lhs, rhs in hyps])
