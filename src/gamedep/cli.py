@@ -195,8 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# Built once: argparse trees are costly to build and parsing leaves them unchanged.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.run(args)
     except (InputError, ResourceLimitError) as exc:

@@ -88,6 +88,7 @@ class DependencyGraph:
     _adjacency: dict = field(default=None, compare=False, repr=False)
     _index: dict = field(default=None, compare=False, repr=False)
     _local: dict = field(default=None, compare=False, repr=False)
+    _local_indices: dict = field(default=None, compare=False, repr=False)
 
     @classmethod
     def of(cls, players: Iterable[str],
@@ -124,6 +125,8 @@ class DependencyGraph:
         object.__setattr__(self, "_local", {
             v: tuple(sorted(ns | {v}, key=index.__getitem__))
             for v, ns in adjacency.items()})
+        object.__setattr__(self, "_local_indices", {
+            v: tuple(map(index.__getitem__, local)) for v, local in self._local.items()})
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -158,6 +161,11 @@ class DependencyGraph:
         """Closed neighbourhood as a tuple in declaration order (payoff key order)."""
         self.index(name)
         return self._local[name]
+
+    def local_indices(self, name: str) -> tuple[int, ...]:
+        """Declaration indices of `local_order(name)`."""
+        self.index(name)
+        return self._local_indices[name]
 
     def border(self, region: Iterable[str]) -> PlayerSet:
         """Members of `region` with at least one neighbour outside it."""

@@ -1,16 +1,24 @@
 """Pure strategy Nash equilibria as a join of local best-response tables.
 
-A profile is an equilibrium iff every player's label is a best response to
-the labels of its neighbours, so each player with a payoff table contributes
-one constraint over its closed neighbourhood (Kearns, Littman and Singh,
-*Graphical Models for Game Theory*, 2001).  For each such player the
-best-response table maps the neighbours' labels, in declaration order, to
-the player's own labels of maximal payoff; missing cells count as 0 and
-ties are all best.  Enumeration joins these tables by backtracking over the
-players in declaration order and checks each constraint as soon as its
-whole closed neighbourhood is assigned, so equilibria come out in
-lexicographic order.  Games with more than `DEFAULT_PROFILE_CAP` profiles
-are refused before any table is built.
+A profile is an equilibrium iff every player's strategy is a best response
+to the strategies of its neighbours, so each player with a payoff table
+contributes one constraint over its closed neighbourhood (Kearns, Littman
+and Singh, *Graphical Models for Game Theory*, 2001).
+
+Every game reaches the join in one representation: a strategy count per
+player and, for each constrained player, its payoff values in row-major
+order over ``graph.local_order(player)`` (the last local player varies
+fastest).  A parsed `Game` supplies its table cells, missing cells counting
+as 0; the search supplies the rank of each drawn value in
+``sorted(payoff_values)``, which orders cells exactly as the values do, so
+negative values and unsorted value lists need no special case.  From each
+list `_best_responses` builds a flat table: ``best[x]`` is true iff cell x
+is maximal along the player's own axis (ties are all best).  The join
+assigns strategy indices by backtracking over the players in declaration
+order, builds each constraint's cell index as its members are assigned,
+and checks the constraint once the last member is, so equilibria come out
+in lexicographic order.  Games with more than `DEFAULT_PROFILE_CAP`
+profiles are refused before any table is built.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .core import Game, InputError, ResourceLimitError, StrategyProfile
+from .core import DependencyGraph, Game, ResourceLimitError, StrategyProfile
 
 __all__ = [
     "enumerate_equilibria",
@@ -39,26 +47,6 @@ def payoff_of(game: Game, player: str, profile: StrategyProfile) -> Fraction:
     return game.payoffs.get(player, {}).get(key, _ZERO)
 
 
-def _best_labels(table, labels, slot, row) -> frozenset[str]:
-    """Own labels of maximal payoff when the neighbours play `row`.
-
-    `row` lists the neighbours' labels in declaration order; the player's
-    own label goes in at `slot` to form the payoff key.
-    """
-    before, after = row[:slot], row[slot:]
-    values = [table.get(before + (label,) + after, _ZERO) for label in labels]
-    best = max(values)
-    return frozenset(label for label, value in zip(labels, values) if value == best)
-
-
-def _neighbours(graph, player: str) -> tuple[tuple[int, ...], int]:
-    """Indices of the neighbours of `player` in declaration order, and the
-    slot of `player` itself in its payoff keys."""
-    local = graph.local_order(player)
-    slot = local.index(player)
-    return tuple(graph.index(w) for w in local[:slot] + local[slot + 1:]), slot
-
-
 def is_equilibrium(game: Game, profile: StrategyProfile) -> bool:
     """True iff no player can strictly improve by deviating alone.
 
@@ -66,72 +54,91 @@ def is_equilibrium(game: Game, profile: StrategyProfile) -> bool:
     payoff leaves the profile in equilibrium.
     """
     game.check_profile(profile)
-    graph = game.graph
-    for player_index, player in enumerate(graph.players):
-        table = game.payoffs.get(player)
-        if table:
-            neighbours, slot = _neighbours(graph, player)
-            row = tuple(profile[i] for i in neighbours)
-            if profile[player_index] not in _best_labels(
-                    table, game.strategies[player], slot, row):
+    for i, player in enumerate(game.graph.players):
+        current = payoff_of(game, player, profile)
+        for label in game.strategies[player]:
+            deviation = profile[:i] + (label,) + profile[i + 1:]
+            if payoff_of(game, player, deviation) > current:
                 return False
     return True
 
 
-def _join_plan(game: Game):
-    """Constraints to check at each depth: (player index, neighbour indices, table).
-
-    A player's constraint is checked at the depth of the last member of its
-    closed neighbourhood; a player without a payoff table has none.
-    """
-    plan = game._cache.get("join_plan")
-    if plan is None:
-        graph = game.graph
-        players = graph.players
-        plan = [[] for _ in players]
-        for player_index, player in enumerate(players):
-            table = game.payoffs.get(player)
-            if not table:
-                continue
-            neighbours, slot = _neighbours(graph, player)
-            labels = game.strategies[player]
-            rows = itertools.product(*(game.strategies[players[i]] for i in neighbours))
-            best = {row: _best_labels(table, labels, slot, row) for row in rows}
-            last = graph.index(graph.local_order(player)[-1])
-            plan[last].append((player_index, neighbours, best))
-        plan = tuple(map(tuple, plan))
-        game._cache["join_plan"] = plan
-    return plan
-
-
-def enumerate_equilibria(game: Game,
-                         max_profiles: int = DEFAULT_PROFILE_CAP) -> tuple[StrategyProfile, ...]:
-    """All pure equilibria, lexicographic in player and strategy declaration order."""
-    count = game.profile_count()
+def check_profile_cap(count: int, max_profiles: int = DEFAULT_PROFILE_CAP) -> None:
+    """Refuse a game of `count` profiles if it exceeds the enumeration cap."""
     if count > max_profiles:
         raise ResourceLimitError(
             f"game has {count} profiles, exceeding the cap of {max_profiles}")
-    plan = _join_plan(game)
-    options = [game.strategies[p] for p in game.graph.players]
-    if not options:
+
+
+def _best_responses(values, size: int, stride: int) -> list[bool]:
+    """``best[x]`` iff ``values[x]`` is maximal among the cells that differ
+    from x only on the axis of length `size` and stride `stride`."""
+    best = [False] * len(values)
+    block = size * stride
+    for start in range(0, len(values), block):
+        for first in range(start, start + stride):
+            column = values[first:first + block:stride]
+            top = max(column)
+            best[first:first + block:stride] = [value == top for value in column]
+    return best
+
+
+def _join_plan(graph: DependencyGraph, counts, cells):
+    """Per depth, the key updates and the constraint checks of the join.
+
+    `cells[i]` lists player i's payoff values in row-major order over its
+    local order, or is None for a player without a constraint.  A
+    constraint's cell index is summed up in slots of one accumulator: when
+    a member other than the last gets strategy k, ``acc[dst] = acc[src] +
+    k * stride`` (slot 0 stays 0, and a one-strategy member adds nothing);
+    at the depth of the last member, whose stride is 1, the constraint
+    reads ``best[acc[src] + k]``.
+    """
+    updates = [[] for _ in counts]
+    checks = [[] for _ in counts]
+    slots = 1
+    for i, values in enumerate(cells):
+        if values is None:
+            continue
+        members = graph.local_indices(graph.players[i])
+        strides = [1] * len(members)
+        for j in range(len(members) - 1, 0, -1):
+            strides[j - 1] = strides[j] * counts[members[j]]
+        best = _best_responses(values, counts[i], strides[members.index(i)])
+        src = 0
+        for member, stride in zip(members[:-1], strides):
+            if counts[member] > 1:
+                updates[member].append((src, slots, stride))
+                src = slots
+                slots += 1
+        checks[members[-1]].append((src, best))
+    return updates, checks, slots
+
+
+def _join(counts, plan) -> tuple[tuple[int, ...], ...]:
+    """Strategy-index profiles meeting every constraint of `plan`, lexicographic.
+
+    The search is iterative, so long player lists cannot exhaust the stack.
+    """
+    updates, checks, slots = plan
+    if not counts:
         return ((),)
-    last = len(options) - 1
-    profile = [None] * len(options)
-    # next_choice[d] is the position in options[d] to try next at depth d; the
-    # search is iterative so that long player lists cannot exhaust the stack.
-    next_choice = [0] * len(options)
+    acc = [0] * slots
+    profile = [-1] * len(counts)
+    last = len(counts) - 1
     found = []
     depth = 0
     while depth >= 0:
-        k = next_choice[depth]
-        if k == len(options[depth]):
-            next_choice[depth] = 0
+        k = profile[depth] + 1
+        if k == counts[depth]:
+            profile[depth] = -1
             depth -= 1
             continue
-        next_choice[depth] = k + 1
-        profile[depth] = options[depth][k]
-        for player_index, neighbours, best in plan[depth]:
-            if profile[player_index] not in best[tuple(profile[i] for i in neighbours)]:
+        profile[depth] = k
+        for src, dst, stride in updates[depth]:
+            acc[dst] = acc[src] + k * stride
+        for src, best in checks[depth]:
+            if not best[acc[src] + k]:
                 break
         else:
             if depth == last:
@@ -139,6 +146,36 @@ def enumerate_equilibria(game: Game,
             else:
                 depth += 1
     return tuple(found)
+
+
+def index_equilibria(graph: DependencyGraph, counts, cells) -> tuple[tuple[int, ...], ...]:
+    """Equilibria as strategy-index tuples, lexicographic.
+
+    `counts[i]` is player i's strategy count; `cells` is as for `_join_plan`.
+    The caller checks the profile cap.
+    """
+    return _join(counts, _join_plan(graph, counts, cells))
+
+
+def _cells(game: Game, player: str):
+    table = game.payoffs.get(player)
+    if not table:
+        return None
+    local = game.graph.local_order(player)
+    keys = itertools.product(*(game.strategies[w] for w in local))
+    return [table.get(key, _ZERO) for key in keys]
+
+
+def enumerate_equilibria(game: Game,
+                         max_profiles: int = DEFAULT_PROFILE_CAP) -> tuple[StrategyProfile, ...]:
+    """All pure equilibria, lexicographic in player and strategy declaration order."""
+    check_profile_cap(game.profile_count(), max_profiles)
+    players = game.graph.players
+    labels = [game.strategies[p] for p in players]
+    counts = [len(options) for options in labels]
+    found = index_equilibria(game.graph, counts, [_cells(game, p) for p in players])
+    return tuple(tuple(options[k] for options, k in zip(labels, profile))
+                 for profile in found)
 
 
 def equilibria(game: Game) -> tuple[StrategyProfile, ...]:

@@ -10,11 +10,25 @@ one strategy count per player in declaration order (uniform in
 [1, max_strategies]), then for each player in declaration order one payoff
 cell per local assignment in row-major order (uniform over payoff_values).
 Strategy labels are "0", "1", ... per player.
+
+Both search streams describe a candidate game in one representation, a
+*draw* `(counts, cells)`: `counts[i]` is player i's strategy count, and
+`cells()` returns, per player, the indices into `payoff_values` of its
+payoff cells in row-major order over `graph.local_order(player)`.
+`_draw` reads it from the random stream and `_systematic_draws` from the
+canonical order.  The search reads the counts first, so the profile budget
+and the enumeration cap are checked before any cell is drawn, and
+equilibria are enumerated only when a formula reaches an atom: on
+strategy-index tuples, comparing payoff values by their rank in
+`sorted(payoff_values)`.  A `Game` is built (`_build`) only for a game the
+search returns: the refuting game, or a fuzzing violation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,8 +42,9 @@ from .core import (
     InputError,
     check_formula_scope,
 )
+from .equilibrium import check_profile_cap, index_equilibria
 from .prover import Hypotheses, saturate
-from .semantics import determined_players, holds
+from .semantics import constant_within_groups, evaluate
 
 __all__ = [
     "FuzzReport",
@@ -61,15 +76,29 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return z ^ (z >> 31)
 
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), by rejection to avoid modulo bias."""
+    def take(self, bound: int, count: int) -> list[int]:
+        """`count` uniform integers in [0, bound), each by rejection to avoid
+        modulo bias: the draws of `count` calls of `below`, in one loop."""
         if bound <= 0:
             raise InputError(f"bound must be positive, got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            value = self.next()
-            if value < limit:
-                return value % bound
+        state = self.state
+        out = []
+        for _ in range(count):
+            while True:
+                state = (state + _GOLDEN) & MASK64
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+                z ^= z >> 31
+                if z < limit:
+                    break
+            out.append(z % bound)
+        self.state = state
+        return out
+
+    def below(self, bound: int) -> int:
+        """Uniform integer in [0, bound), by rejection to avoid modulo bias."""
+        return self.take(bound, 1)[0]
 
 
 def _stream(seed: int, index: int) -> SplitMix64:
@@ -238,20 +267,59 @@ def builtin_game(name: str) -> Game:
 # --- random and systematic generation ---------------------------------------
 
 
+def _table_sizes(graph: DependencyGraph, counts) -> list[int]:
+    return [math.prod(counts[i] for i in graph.local_indices(p)) for p in graph.players]
+
+
+def _once(compute):
+    """`compute`, run on the first call only; later calls return its result."""
+    result = []
+
+    def once():
+        if not result:
+            result.append(compute())
+        return result[0]
+    return once
+
+
+def _split(flat, sizes) -> list:
+    """`flat` cut into consecutive pieces of the given sizes."""
+    pieces, start = [], 0
+    for size in sizes:
+        pieces.append(flat[start:start + size])
+        start += size
+    return pieces
+
+
+def _draw(graph: DependencyGraph, bounds: SearchBounds, index: int):
+    """Game `index` of the random stream as a draw.
+
+    `cells()` draws the cells on its first call, from where the counts left
+    the stream, and returns the same lists on later calls.
+    """
+    rng = _stream(bounds.seed, index)
+    counts = tuple(1 + k for k in rng.take(bounds.max_strategies, len(graph.players)))
+
+    def cells() -> list[list[int]]:
+        sizes = _table_sizes(graph, counts)
+        return _split(rng.take(len(bounds.payoff_values), sum(sizes)), sizes)
+    return counts, _once(cells)
+
+
+def _build(graph: DependencyGraph, bounds: SearchBounds, counts, cells) -> Game:
+    """The `Game` of a draw: labels "0", "1", ... and the drawn payoff values."""
+    strategies = {p: tuple(str(i) for i in range(k)) for p, k in zip(graph.players, counts)}
+    values = bounds.payoff_values
+    payoffs = {p: dict(zip(itertools.product(*(strategies[q] for q in graph.local_order(p))),
+                           (values[c] for c in row)))
+               for p, row in zip(graph.players, cells)}
+    return Game.of(graph, strategies, payoffs)
+
+
 def random_game(graph: DependencyGraph, bounds: SearchBounds, index: int) -> Game:
     """The game at `index` of the stream determined by (graph, bounds.seed)."""
-    rng = _stream(bounds.seed, index)
-    counts = [1 + rng.below(bounds.max_strategies) for _ in graph.players]
-    strategies = {p: tuple(str(i) for i in range(k))
-                  for p, k in zip(graph.players, counts)}
-    values = bounds.payoff_values
-    payoffs = {}
-    for p in graph.players:
-        table = {}
-        for key in itertools.product(*(strategies[q] for q in graph.local_order(p))):
-            table[key] = values[rng.below(len(values))]
-        payoffs[p] = table
-    return Game.of(graph, strategies, payoffs)
+    counts, cells = _draw(graph, bounds, index)
+    return _build(graph, bounds, counts, cells())
 
 
 def _count_vectors(n: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -271,22 +339,39 @@ def _count_vectors(n: int, cap: int) -> Iterator[tuple[int, ...]]:
         yield from parts(total, n)
 
 
-def _systematic_games(graph: DependencyGraph, bounds: SearchBounds) -> Iterator[Game]:
+def _systematic_draws(graph: DependencyGraph, bounds: SearchBounds):
     """Canonical order: counts ascending (total, then lex); within a shape,
     payoff tables in lexicographic order over the concatenated cells (players
     in declaration order, local assignments row-major, last cell fastest)."""
     for counts in _count_vectors(len(graph.players), bounds.max_strategies):
-        strategies = {p: tuple(str(i) for i in range(k))
-                      for p, k in zip(graph.players, counts)}
-        cells = [(p, key)
-                 for p in graph.players
-                 for key in itertools.product(
-                     *(strategies[q] for q in graph.local_order(p)))]
-        for assignment in itertools.product(bounds.payoff_values, repeat=len(cells)):
-            payoffs: dict[str, dict] = {p: {} for p in graph.players}
-            for (p, key), value in zip(cells, assignment):
-                payoffs[p][key] = value
-            yield Game.of(graph, strategies, payoffs)
+        sizes = _table_sizes(graph, counts)
+        for assignment in itertools.product(range(len(bounds.payoff_values)),
+                                            repeat=sum(sizes)):
+            yield counts, functools.partial(_split, assignment, sizes)
+
+
+def _systematic_games(graph: DependencyGraph, bounds: SearchBounds) -> Iterator[Game]:
+    """The games of the canonical order, built."""
+    for counts, cells in _systematic_draws(graph, bounds):
+        yield _build(graph, bounds, counts, cells())
+
+
+def _equilibria(graph: DependencyGraph, counts, cells, ranks):
+    """Zero-argument function returning the equilibria of a draw as
+    strategy-index tuples, enumerated on its first call.  The profile cap is
+    checked from the counts before any cell is drawn; payoff values are
+    compared by their rank (`_ranks`)."""
+    def found():
+        check_profile_cap(math.prod(counts))
+        return index_equilibria(graph, counts,
+                                [[ranks[c] for c in row] for row in cells()])
+    return _once(found)
+
+
+def _ranks(values) -> list[int]:
+    """The rank of each payoff value in `sorted(values)`."""
+    order = sorted(values)
+    return [order.index(v) for v in values]
 
 
 @dataclass(frozen=True)
@@ -309,19 +394,20 @@ def find_counterexample(graph: DependencyGraph, formula: Formula,
     """
     check_formula_scope(graph, formula)
     if bounds.mode == "systematic":
-        source = _systematic_games(graph, bounds)
+        source = _systematic_draws(graph, bounds)
     else:
-        source = (random_game(graph, bounds, i) for i in range(bounds.sample_count))
+        source = (_draw(graph, bounds, i) for i in range(bounds.sample_count))
+    ranks = _ranks(bounds.payoff_values)
     budget = bounds.max_profiles
     examined = 0
-    for game in source:
-        cost = game.profile_count()
+    for counts, cells in source:
+        cost = math.prod(counts)
         if cost > budget:
             return NoneWithinBounds(examined, cap_exceeded=True)
         budget -= cost
         examined += 1
-        if not holds(game, formula):
-            return game
+        if not evaluate(graph, _equilibria(graph, counts, cells, ranks), formula):
+            return _build(graph, bounds, counts, cells())
     return NoneWithinBounds(examined)
 
 
@@ -373,18 +459,23 @@ def fuzz_soundness(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
         closed = table.closure_mask(x)
         if closed != x:
             goals.append((graph.players_of_mask(x), graph.players_of_mask(closed)))
+    ranks = _ranks(bounds.payoff_values)
     tested = 0
     satisfied = 0
     violations: list[FuzzViolation] = []
     for index in range(bounds.sample_count):
-        game = random_game(graph, bounds, index)
+        counts, cells = _draw(graph, bounds, index)
+        found = _equilibria(graph, counts, cells, ranks)
         tested += 1
-        if not all(holds(game, atom) for atom in hypotheses):
+        if not all(evaluate(graph, found, atom) for atom in hypotheses):
             continue
         satisfied += 1
+        game = None
         for lhs, closed in goals:
-            determined = determined_players(game, lhs)
+            determined = constant_within_groups(graph, found, lhs, graph.players)
             if not closed <= determined:
+                if game is None:
+                    game = _build(graph, bounds, counts, cells())
                 violations.append(
                     FuzzViolation(index, Atom(lhs, closed - determined), game))
     return FuzzReport(graph, tested, satisfied, tuple(violations))

@@ -6,6 +6,12 @@ equilibria against the definition, the derivability oracle saturates the
 full atom space by literal rule applications, and the sweep oracle runs the
 closure table's snapshot sweeps as per-row and per-source broadcasts.  They
 share no code with the implementations under test.
+
+The search oracles are the per-game loops: every candidate of the documented
+random stream (one splitmix64 draw at a time) or of the canonical
+systematic order is built as a `Game` and judged with the public `holds` and
+`determined_players`.  They share the public semantics with the search, not
+its generation, budgeting or lazy evaluation.
 """
 
 from collections import defaultdict, deque
@@ -14,8 +20,10 @@ from itertools import combinations, product
 
 import numpy as np
 
-from gamedep.core import DependencyGraph
-from gamedep.prover import Hypotheses
+from gamedep.core import Atom, DependencyGraph, Game, check_formula_scope
+from gamedep.prover import Hypotheses, saturate
+from gamedep.search import FuzzReport, FuzzViolation, NoneWithinBounds
+from gamedep.semantics import determined_players, holds
 
 
 def equilibria_by_deviation(game) -> tuple:
@@ -196,3 +204,94 @@ def saturate_by_sweeps(graph: DependencyGraph, hypotheses: Hypotheses):
         if not progressed:
             break
     return cl, wave, tuple(kinds)
+
+
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(seed: int):
+    """The raw 64-bit outputs of splitmix64 seeded with `seed`."""
+    state = seed
+    while True:
+        state = (state + _GOLDEN) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
+
+
+def _below(stream, bound: int) -> int:
+    limit = (1 << 64) - (1 << 64) % bound
+    while True:
+        value = next(stream)
+        if value < limit:
+            return value % bound
+
+
+def game_by_draws(graph, bounds, index) -> Game:
+    """Game `index` of the documented random stream, one draw at a time."""
+    stream = _splitmix64((bounds.seed ^ ((index + 1) * _GOLDEN)) & _MASK64)
+    counts = [1 + _below(stream, bounds.max_strategies) for _ in graph.players]
+    strategies = {p: tuple(str(i) for i in range(k)) for p, k in zip(graph.players, counts)}
+    values = bounds.payoff_values
+    payoffs = {p: {key: values[_below(stream, len(values))]
+                   for key in product(*(strategies[q] for q in graph.local_order(p)))}
+               for p in graph.players}
+    return Game.of(graph, strategies, payoffs)
+
+
+def games_in_canonical_order(graph, bounds):
+    """Systematic mode's order: count vectors by (total, lexicographic), then
+    payoff assignments lexicographic over the concatenated cells."""
+    players = graph.players
+    for counts in sorted(product(range(1, bounds.max_strategies + 1), repeat=len(players)),
+                         key=lambda c: (sum(c), c)):
+        strategies = {p: tuple(str(i) for i in range(k)) for p, k in zip(players, counts)}
+        cells = [(p, key) for p in players
+                 for key in product(*(strategies[q] for q in graph.local_order(p)))]
+        for assignment in product(bounds.payoff_values, repeat=len(cells)):
+            payoffs = {p: {} for p in players}
+            for (p, key), value in zip(cells, assignment):
+                payoffs[p][key] = value
+            yield Game.of(graph, strategies, payoffs)
+
+
+def counterexample_by_games(graph, formula, bounds):
+    """The refutation loop over built games: the first game where `holds`
+    fails, or `NoneWithinBounds` with the games examined and whether the
+    cumulative profile budget ran out."""
+    check_formula_scope(graph, formula)
+    if bounds.mode == "systematic":
+        source = games_in_canonical_order(graph, bounds)
+    else:
+        source = (game_by_draws(graph, bounds, i) for i in range(bounds.sample_count))
+    budget = bounds.max_profiles
+    examined = 0
+    for game in source:
+        if game.profile_count() > budget:
+            return NoneWithinBounds(examined, cap_exceeded=True)
+        budget -= game.profile_count()
+        examined += 1
+        if not holds(game, formula):
+            return game
+    return NoneWithinBounds(examined)
+
+
+def fuzz_by_games(graph, hypotheses, bounds, closure=saturate) -> FuzzReport:
+    """Soundness fuzzing over built games, goals from `closure(graph, hypotheses)`."""
+    hypotheses = Hypotheses.of(hypotheses)
+    table = closure(graph, hypotheses)
+    goals = [(graph.players_of_mask(x), graph.players_of_mask(table.closure_mask(x)))
+             for x in range(1 << len(graph.players)) if table.closure_mask(x) != x]
+    satisfied = 0
+    violations = []
+    for index in range(bounds.sample_count):
+        game = game_by_draws(graph, bounds, index)
+        if not all(holds(game, atom) for atom in hypotheses):
+            continue
+        satisfied += 1
+        for lhs, closed in goals:
+            determined = determined_players(game, lhs)
+            if not closed <= determined:
+                violations.append(FuzzViolation(index, Atom(lhs, closed - determined), game))
+    return FuzzReport(graph, bounds.sample_count, satisfied, tuple(violations))

@@ -297,6 +297,31 @@ class TestHarness:
     def test_parser_program_name(self):
         assert build_parser().prog == "gamedep"
 
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_successive_calls_do_not_share_assumptions(self, path_file, capsys):
+        goal = ["prove", path_file, "b,c |> d"]
+        assert main([*goal, "--assume", "a |> d"]) == 0
+        assert capsys.readouterr().out == PROOF_DOC
+        assert main(goal) == 1
+        assert capsys.readouterr().out == "not derivable\n"
+        assert main([*goal, "--assume", "c |> d"]) == 0
+        assert "1. c |> d [Hypothesis]" in capsys.readouterr().out
+        fuzz = ["fuzz-soundness", path_file, "--samples", "20", "--seed", "42"]
+        assert main([*fuzz, "--assume", "a |> d"]) == 0
+        assert "hypotheses satisfied: 20" not in capsys.readouterr().out
+        assert main(fuzz) == 0
+        assert "hypotheses satisfied: 20" in capsys.readouterr().out
+
+    def test_usage_error_exits_2_between_calls(self, path_file, capsys):
+        assert main(["prove", path_file, "a |> a"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["refute", path_file])  # formula missing
+        assert exc.value.code == 2
+        assert "required" in capsys.readouterr().err
+        assert main(["prove", path_file, "a |> a"]) == 0
+
     def test_entry_exits_with_the_return_code(self, game_file, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["gamedep", "check", game_file, "false"])
         with pytest.raises(SystemExit) as exc:

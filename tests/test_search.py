@@ -1,14 +1,29 @@
 """Tests for built-in games, seeded generation, and counterexample search."""
 
+import itertools
+import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gamedep.core import Atom, DependencyGraph, Falsum, InputError
+import gamedep.search
+from gamedep.cli import main
+from gamedep.core import (
+    FALSUM,
+    Atom,
+    DependencyGraph,
+    Falsum,
+    Implication,
+    InputError,
+    ResourceLimitError,
+)
 from gamedep.equilibrium import equilibria, is_equilibrium
-from gamedep.parser import parse_formula
+from gamedep.parser import parse_formula, print_game, print_graph
+from gamedep.prover import Hypotheses, saturate
 from gamedep.search import (
     FuzzReport,
     FuzzViolation,
@@ -16,6 +31,7 @@ from gamedep.search import (
     SearchBounds,
     SplitMix64,
     _count_vectors,
+    _draw,
     _stream,
     _systematic_games,
     builtin_game,
@@ -24,9 +40,15 @@ from gamedep.search import (
     fuzz_soundness,
     random_game,
 )
-from gamedep.semantics import holds
+from gamedep.semantics import determined_players, holds
 
 from generators import graphs
+from oracles import (
+    counterexample_by_games,
+    fuzz_by_games,
+    game_by_draws,
+    games_in_canonical_order,
+)
 
 
 class TestSplitMix64:
@@ -48,6 +70,24 @@ class TestSplitMix64:
     def test_below_one_is_constant(self):
         rng = SplitMix64(9)
         assert [rng.below(1) for _ in range(10)] == [0] * 10
+
+    def test_take_is_repeated_below(self):
+        for bound in (1, 2, 3, 7, (1 << 63) + 5):
+            one, many = SplitMix64(17), SplitMix64(17)
+            assert many.take(bound, 40) == [one.below(bound) for _ in range(40)]
+            assert many.state == one.state
+        assert SplitMix64(3).take(5, 0) == []
+        with pytest.raises(InputError, match="bound must be positive"):
+            SplitMix64(3).take(0, 1)
+
+    def test_rejection_skips_the_biased_tail(self):
+        # bound 2^63 + 5 rejects outputs >= 2^63 + 5, so draws are outputs below it
+        bound = (1 << 63) + 5
+        raw = SplitMix64(11)
+        outputs = [raw.next() for _ in range(60)]
+        kept = [v for v in outputs if v < bound][:20]
+        assert len(kept) == 20 and len(kept) < 60
+        assert SplitMix64(11).take(bound, 20) == kept
 
     def test_streams_are_deterministic_and_distinct(self):
         assert _stream(3, 0).next() == _stream(3, 0).next()
@@ -329,3 +369,212 @@ class TestFuzzSoundness:
         graph = builtin_graph("gamma3")
         with pytest.raises(InputError, match="unknown player"):
             fuzz_soundness(graph, [Atom.of("a", "z")], SearchBounds())
+
+
+# --- the search against the per-game loops ------------------------------------
+
+_NAMES = "abcdef"
+
+
+def _seeded_graph(rng, max_players=6):
+    players = _NAMES[:rng.randint(1, max_players)]
+    edges = [pair for pair in itertools.combinations(players, 2) if rng.random() < 0.5]
+    return DependencyGraph.of(players, edges)
+
+
+def _seeded_formula(rng, graph, depth=2):
+    roll = rng.random()
+    if depth and roll < 0.35:
+        return Implication(_seeded_formula(rng, graph, depth - 1),
+                           _seeded_formula(rng, graph, depth - 1))
+    if depth and roll < 0.5:  # negation: f -> false
+        return Implication(_seeded_formula(rng, graph, depth - 1), FALSUM)
+    if roll < 0.6:
+        return FALSUM
+    pick = lambda: frozenset(p for p in graph.players if rng.random() < 0.4)
+    return Atom(pick(), pick())
+
+
+_VALUE_LISTS = [(1, 0), (-1, Fraction(1, 2), 0), (0, 1)]
+
+
+def _search_cases(count, mode, seed):
+    rng = random.Random(f"{mode}:{seed}")
+    for _ in range(count):
+        graph = _seeded_graph(rng)
+        formula = _seeded_formula(rng, graph)
+        if rng.random() < 0.3:  # an atom that rarely fails: the run goes to its end
+            formula = Implication(formula, Atom(frozenset(graph.players[:1]),
+                                                frozenset(graph.players[:1])))
+        budget = rng.choice([1, 5, 40, 300] if mode == "systematic"
+                            else [3, 50, 400, 10_000_000])
+        yield graph, formula, SearchBounds(
+            max_strategies=rng.randint(1, 3), payoff_values=rng.choice(_VALUE_LISTS),
+            max_profiles=budget, seed=rng.getrandbits(64), mode=mode,
+            sample_count=rng.randint(1, 40))
+
+
+class TestAgainstPerGameLoops:
+    """Lazy draws, counts-first budgets and index-tuple equilibria give the
+    same results as building and judging every candidate game."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_mode(self, seed):
+        for graph, formula, bounds in _search_cases(12, "random", seed):
+            assert (find_counterexample(graph, formula, bounds)
+                    == counterexample_by_games(graph, formula, bounds))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_systematic_mode(self, seed):
+        for graph, formula, bounds in _search_cases(12, "systematic", seed):
+            assert (find_counterexample(graph, formula, bounds)
+                    == counterexample_by_games(graph, formula, bounds))
+
+    def test_budgets_stop_mid_stream(self):
+        graph = builtin_graph("gamma1")
+        formula = parse_formula("a |> a", graph)
+        for mode in ("random", "systematic"):
+            for budget in (1, 7, 60, 250):
+                bounds = SearchBounds(max_profiles=budget, mode=mode, seed=5,
+                                      sample_count=400)
+                outcome = find_counterexample(graph, formula, bounds)
+                assert outcome == counterexample_by_games(graph, formula, bounds)
+                assert outcome.cap_exceeded
+
+    def test_generated_games_match_the_documented_stream(self):
+        rng = random.Random(3)
+        for _ in range(30):
+            graph = _seeded_graph(rng)
+            bounds = SearchBounds(max_strategies=rng.randint(1, 3),
+                                  payoff_values=rng.choice(_VALUE_LISTS),
+                                  seed=rng.getrandbits(64))
+            for index in range(5):
+                assert random_game(graph, bounds, index) == game_by_draws(graph, bounds, index)
+        graph = builtin_graph("pair")
+        bounds = SearchBounds(max_strategies=2, payoff_values=(-1, Fraction(1, 2), 0))
+        assert (list(_systematic_games(graph, bounds))[:500]
+                == list(itertools.islice(games_in_canonical_order(graph, bounds), 500)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fuzz_soundness(self, seed):
+        rng = random.Random(f"fuzz:{seed}")
+        for _ in range(6):
+            graph = _seeded_graph(rng)
+            atoms = [Atom(frozenset(rng.sample(graph.players, rng.randint(0, 2))),
+                          frozenset(rng.sample(graph.players, 1)))
+                     for _ in range(rng.randint(0, 2))]
+            bounds = SearchBounds(max_strategies=rng.randint(1, 3),
+                                  payoff_values=rng.choice(_VALUE_LISTS),
+                                  seed=rng.getrandbits(64), sample_count=25)
+            assert fuzz_soundness(graph, atoms, bounds) == fuzz_by_games(graph, atoms, bounds)
+
+
+# --- resource guards ----------------------------------------------------------------
+
+
+def _complete_graph(n):
+    players = [f"p{i}" for i in range(n)]
+    return DependencyGraph.of(players, itertools.combinations(players, 2))
+
+
+class _TakeLog:
+    """Records the (bound, count) of every `SplitMix64.take` call; with
+    `max_calls`, a call past it fails at once instead of drawing."""
+
+    def __init__(self, monkeypatch, max_calls=None):
+        self.calls = []
+        real = SplitMix64.take
+
+        def take(rng, bound, count):
+            self.calls.append((bound, count))
+            assert max_calls is None or len(self.calls) <= max_calls, self.calls
+            return real(rng, bound, count)
+        monkeypatch.setattr(SplitMix64, "take", take)
+
+
+class TestResourceGuards:
+    def test_budget_is_checked_before_any_cell_is_drawn(self, monkeypatch):
+        graph = _complete_graph(7)
+        bounds = SearchBounds(max_strategies=8, max_profiles=1000, seed=7)
+        assert math.prod(_draw(graph, bounds, 0)[0]) == 129_024
+        log = _TakeLog(monkeypatch, max_calls=1)
+        started = time.perf_counter()
+        outcome = find_counterexample(graph, parse_formula("p0 |> p1", graph), bounds)
+        elapsed = time.perf_counter() - started
+        assert outcome == NoneWithinBounds(0, cap_exceeded=True)
+        assert log.calls == [(8, 7)]  # the strategy counts only
+        assert elapsed < 0.5, f"over-budget first game took {elapsed:.2f}s"
+
+    def test_refute_over_budget_from_the_command_line(self, tmp_path, capsys):
+        path = tmp_path / "k7.graph"
+        path.write_text(print_graph(_complete_graph(7)))
+        started = time.perf_counter()
+        code = main(["refute", str(path), "p0 |> p1", "--max-strategies", "8",
+                     "--max-profiles", "1000", "--seed", "7"])
+        elapsed = time.perf_counter() - started
+        assert code == 1
+        assert capsys.readouterr().out == "no counterexample within bounds (0 games examined)\n"
+        assert elapsed < 0.5, f"refute took {elapsed:.2f}s"
+
+    def test_formula_without_atoms_draws_cells_only_for_the_printed_game(self, monkeypatch):
+        graph = builtin_graph("gamma2")
+        log = _TakeLog(monkeypatch)
+        game = find_counterexample(graph, FALSUM, SearchBounds(seed=9))
+        assert game == random_game(graph, SearchBounds(seed=9), 0)
+        assert len(log.calls) == 2 + 2  # counts and cells, twice
+
+    def test_enumeration_cap_is_checked_before_any_cell_is_drawn(self, monkeypatch):
+        players = [f"p{i}" for i in range(12)]
+        graph = DependencyGraph.of(players, zip(players, players[1:]))
+        bounds = SearchBounds(max_strategies=8, seed=1, max_profiles=10 ** 12)
+        count = math.prod(_draw(graph, bounds, 0)[0])
+        assert count > 10_000_000
+        message = f"game has {count} profiles, exceeding the cap of 10000000"
+        log = _TakeLog(monkeypatch, max_calls=1)
+        with pytest.raises(ResourceLimitError, match=message):
+            fuzz_soundness(graph, [Atom.of(["p0"], ["p11"])], bounds)
+        assert log.calls == [(8, 12)]
+        log.calls.clear()
+        with pytest.raises(ResourceLimitError, match=message):
+            find_counterexample(graph, parse_formula("p0 |> p11", graph), bounds)
+        assert log.calls == [(8, 12)]
+
+
+# --- fuzz violations --------------------------------------------------------------
+
+
+def _unsound(graph, hypotheses):
+    """A closure that wrongly derives a |> d from no hypotheses at all."""
+    return saturate(graph, Hypotheses.of([Atom.of("a", "d")]))
+
+
+class TestFuzzViolations:
+    def test_violations_name_their_index_atom_and_game(self, monkeypatch):
+        monkeypatch.setattr(gamedep.search, "saturate", _unsound)
+        graph = builtin_graph("gamma1")
+        bounds = SearchBounds(seed=4, sample_count=30)
+        report = fuzz_soundness(graph, [], bounds)
+        assert not report and report.games_tested == report.hypotheses_satisfied == 30
+        assert report == fuzz_by_games(graph, [], bounds, closure=_unsound)
+        first = report.violations[0]
+        game = random_game(graph, bounds, first.index)
+        assert first.game == game
+        assert first.atom == Atom.of(["a"], ["d"])
+        assert not holds(game, first.atom)
+        earlier = [random_game(graph, bounds, i) for i in range(first.index)]
+        assert all(determined_players(g, {"a"}) >= {"a", "d"} for g in earlier)
+        for violation in report.violations:
+            assert violation.game == random_game(graph, bounds, violation.index)
+        assert f"game {first.index}: derived " in report.text()
+
+    def test_violating_games_are_printed_by_the_command_line(self, monkeypatch, tmp_path,
+                                                             capsys):
+        monkeypatch.setattr(gamedep.search, "saturate", _unsound)
+        graph = builtin_graph("gamma1")
+        path = tmp_path / "gamma1.graph"
+        path.write_text(print_graph(graph))
+        assert main(["fuzz-soundness", str(path), "--samples", "30", "--seed", "4"]) == 1
+        report = fuzz_soundness(graph, [], SearchBounds(seed=4, sample_count=30))
+        expected = report.text() + "".join("\n" + print_game(v.game)
+                                           for v in report.violations)
+        assert capsys.readouterr().out == expected
