@@ -298,20 +298,27 @@ class Game:
                 if label in seen:
                     raise InputError(f"duplicate strategy label {label!r} for player {p!r}")
                 seen.add(label)
+        # One pass per column, not per cell: key lengths, then each column's
+        # labels, then the value types.  The message names the first
+        # offending key of the first failing check.
         for p, table in self.payoffs.items():
             local = graph.local_order(p)
-            for key, value in table.items():
-                if len(key) != len(local):
+            if not set(map(len, table)) <= {len(local)}:
+                key = next(key for key in table if len(key) != len(local))
+                raise InputError(
+                    f"payoff key {key!r} for player {p!r} must assign exactly "
+                    f"{local}")
+            for w, column in zip(local, zip(*table)):
+                labels = self.strategies[w]
+                if not set(column) <= set(labels):
+                    label = next(label for label in column if label not in labels)
                     raise InputError(
-                        f"payoff key {key!r} for player {p!r} must assign exactly "
-                        f"{local}")
-                for w, label in zip(local, key):
-                    if label not in self.strategies[w]:
-                        raise InputError(
-                            f"payoff key for player {p!r} uses unknown strategy "
-                            f"{label!r} for player {w!r}")
-                if not isinstance(value, Fraction):
-                    raise InputError(f"payoff for {p!r} at {key!r} must be a Fraction")
+                        f"payoff key for player {p!r} uses unknown strategy "
+                        f"{label!r} for player {w!r}")
+            if not all(issubclass(kind, Fraction) for kind in set(map(type, table.values()))):
+                key = next(key for key, value in table.items()
+                           if not isinstance(value, Fraction))
+                raise InputError(f"payoff for {p!r} at {key!r} must be a Fraction")
 
     def profile_count(self) -> int:
         return math.prod(len(self.strategies[p]) for p in self.graph.players)

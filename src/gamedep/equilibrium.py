@@ -8,22 +8,25 @@ and Singh, *Graphical Models for Game Theory*, 2001).
 Every game reaches the join in one representation: a strategy count per
 player and, for each constrained player, its payoff values in row-major
 order over ``graph.local_order(player)`` (the last local player varies
-fastest).  A parsed `Game` supplies its table cells, missing cells counting
-as 0; the search supplies the rank of each drawn value in
-``sorted(payoff_values)``, which orders cells exactly as the values do, so
-negative values and unsorted value lists need no special case.  From each
-list `_best_responses` builds a flat table: ``best[x]`` is true iff cell x
-is maximal along the player's own axis (ties are all best).  The join
-assigns strategy indices by backtracking over the players in declaration
-order, builds each constraint's cell index as its members are assigned,
-and checks the constraint once the last member is, so equilibria come out
-in lexicographic order.  Games with more than `DEFAULT_PROFILE_CAP`
-profiles are refused before any table is built.
+fastest), as integers.  A parsed `Game` supplies its table cells scaled per
+player by the lcm of that table's denominators, missing cells counting as
+0; the scale is positive and one player's cells are only compared with each
+other, so the order is the order of the values.  The search supplies the
+rank of each drawn value in ``sorted(payoff_values)``, which orders cells
+exactly as the values do, so negative values and unsorted value lists need
+no special case.  From each list `_best_responses` builds a flat table:
+``best[x]`` is true iff cell x is maximal along the player's own axis (ties
+are all best).  The join assigns strategy indices by backtracking over the
+players in declaration order, builds each constraint's cell index as its
+members are assigned, and checks the constraint once the last member is, so
+equilibria come out in lexicographic order.  Games with more than
+`DEFAULT_PROFILE_CAP` profiles are refused before any table is built.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .core import DependencyGraph, Game, ResourceLimitError, StrategyProfile
@@ -158,12 +161,17 @@ def index_equilibria(graph: DependencyGraph, counts, cells) -> tuple[tuple[int, 
 
 
 def _cells(game: Game, player: str):
+    """The player's cells as integers: each value times the lcm of the
+    denominators of its table, a positive scale that keeps the order."""
     table = game.payoffs.get(player)
     if not table:
         return None
+    scale = math.lcm(*{value.denominator for value in table.values()})
+    scaled = {key: value.numerator * (scale // value.denominator)
+              for key, value in table.items()}
     local = game.graph.local_order(player)
     keys = itertools.product(*(game.strategies[w] for w in local))
-    return [table.get(key, _ZERO) for key in keys]
+    return [scaled.get(key, 0) for key in keys]
 
 
 def enumerate_equilibria(game: Game,

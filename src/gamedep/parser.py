@@ -18,8 +18,13 @@ Games extend graphs with strategy and payoff lines::
     payoff a a=a1 b=b1 1          # rationals: 1, -2, 3/4
     payoff b a=a1 b=b1 1
 
-A payoff line must assign exactly the closed neighbourhood of its player;
-unlisted cells default to 0.
+A payoff line must assign exactly the closed neighbourhood of its player,
+in any order; unlisted cells default to 0.  Parsing a payoff line costs one
+dict lookup per assignment, in a table of the valid `w=label` tokens of the
+player's closed neighbourhood, and one `Fraction` per distinct value token.
+A line that misses the table is diagnosed by the full per-line checks, in
+the order: line shape, declared player, assignment syntax, repeated
+player, locality, labels; then a duplicate entry and the value.
 
 Formulas::
 
@@ -153,7 +158,7 @@ def _parse_graph_lines(lines, extra_directives=()):
     return list(players), edges
 
 
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z", re.ASCII)
 
 
 def parse_rational(token: str, line: int = 1) -> Fraction:
@@ -203,38 +208,78 @@ def parse_game(text: str) -> Game:
         if player not in strategies:
             raise ParseError(players_line, f"player {player!r} has no strategies line")
 
+    # Per player, every valid `w=label` token of its closed neighbourhood maps
+    # to (position in local_order, label).  A line whose k assignment tokens
+    # are all found and fill the k positions passes every per-line check, and
+    # a line that passes them is always found, so a miss is a faulty line.
+    lookups: dict[str, tuple[dict[str, tuple[int, str]], int, dict]] = {}
+    values: dict[str, Fraction] = {}
     payoffs: dict[str, dict[tuple[str, ...], Fraction]] = {}
     for number, tokens in payoff_lines:
-        if len(tokens) < 3:
-            raise ParseError(number, "payoff line expects a player, assignments, and a value")
-        player = tokens[1]
-        if player not in graph:
-            raise ParseError(number, f"payoff for undeclared player {player!r}")
-        assignment: dict[str, str] = {}
-        for token in tokens[2:-1]:
-            match = _ASSIGNMENT_RE.match(token)
-            if not match:
-                raise ParseError(number, f"malformed assignment {token!r}, expected player=label")
-            name, label = match.group(1), match.group(2)
-            if name in assignment:
-                raise ParseError(number, f"player {name!r} assigned twice")
-            assignment[name] = label
-        local = graph.local_order(player)
-        if set(assignment) != set(local):
-            raise LocalityError(
-                number,
-                f"payoff for {player} must assign exactly its closed neighbourhood "
-                f"{{{','.join(local)}}}, got {{{','.join(sorted(assignment))}}}")
-        for name, label in assignment.items():
-            if label not in strategies[name]:
-                raise ParseError(number, f"unknown strategy {label!r} for player {name!r}")
-        key = tuple(assignment[name] for name in local)
-        table = payoffs.setdefault(player, {})
+        player = tokens[1] if len(tokens) > 1 else None
+        state = lookups.get(player)
+        if state is None and player in graph:
+            local = graph.local_order(player)
+            lookup = {f"{w}={label}": (position, label)
+                      for position, w in enumerate(local) for label in strategies[w]}
+            payoffs[player] = {}
+            state = lookups[player] = (lookup, len(local), payoffs[player])
+        key = None
+        if state is not None:
+            lookup, width, table = state
+            if len(tokens) == width + 3:
+                cells = [None] * width
+                for token in tokens[2:-1]:
+                    entry = lookup.get(token)
+                    if entry is None:
+                        break
+                    cells[entry[0]] = entry[1]
+                else:
+                    if None not in cells:
+                        key = tuple(cells)
+        if key is None:
+            _payoff_line_error(number, tokens, graph, strategies)
         if key in table:
             raise ParseError(number, f"duplicate payoff entry for {player}")
-        table[key] = parse_rational(tokens[-1], number)
+        value = values.get(tokens[-1])
+        if value is None:
+            value = values[tokens[-1]] = parse_rational(tokens[-1], number)
+        table[key] = value
 
     return Game(graph, strategies, payoffs)
+
+
+def _payoff_line_error(number: int, tokens: list[str], graph: DependencyGraph,
+                       strategies: dict[str, tuple[str, ...]]) -> None:
+    """Raise the error of a payoff line that the assignment lookup rejected.
+
+    The checks run in the order the format documents them, so a line with
+    several faults is reported by the first.
+    """
+    if len(tokens) < 3:
+        raise ParseError(number, "payoff line expects a player, assignments, and a value")
+    player = tokens[1]
+    if player not in graph:
+        raise ParseError(number, f"payoff for undeclared player {player!r}")
+    assignment: dict[str, str] = {}
+    for token in tokens[2:-1]:
+        match = _ASSIGNMENT_RE.match(token)
+        if not match:
+            raise ParseError(number, f"malformed assignment {token!r}, expected player=label")
+        name, label = match.group(1), match.group(2)
+        if name in assignment:
+            raise ParseError(number, f"player {name!r} assigned twice")
+        assignment[name] = label
+    local = graph.local_order(player)
+    if set(assignment) != set(local):
+        raise LocalityError(
+            number,
+            f"payoff for {player} must assign exactly its closed neighbourhood "
+            f"{{{','.join(local)}}}, got {{{','.join(sorted(assignment))}}}")
+    for name, label in assignment.items():
+        if label not in strategies[name]:
+            raise ParseError(number, f"unknown strategy {label!r} for player {name!r}")
+    raise AssertionError(f"line {number}: a payoff line that passes every check was rejected")
 
 
 def print_graph(graph: DependencyGraph) -> str:

@@ -244,7 +244,7 @@ def _gamma2_rps() -> Game:
     return Game.of(graph, strategies, payoffs)
 
 
-_MEAN_MOD_RE = re.compile(r"gamma1_mean_mod\((\d+)\)\Z")
+_MEAN_MOD_RE = re.compile(r"gamma1_mean_mod\((\d+)\)\Z", re.ASCII)
 
 
 def builtin_game(name: str) -> Game:

@@ -12,6 +12,10 @@ random stream (one splitmix64 draw at a time) or of the canonical
 systematic order is built as a `Game` and judged with the public `holds` and
 `determined_players`.  They share the public semantics with the search, not
 its generation, budgeting or lazy evaluation.
+
+The parser oracle is the per-line game parser: every check of every payoff
+line runs on every line.  It shares the graph front end and the rational
+and assignment syntax with `parse_game`, not its assignment lookup.
 """
 
 from collections import defaultdict, deque
@@ -20,7 +24,16 @@ from itertools import combinations, product
 
 import numpy as np
 
-from gamedep.core import Atom, DependencyGraph, Game, check_formula_scope
+from gamedep.core import Atom, DependencyGraph, Game, check_formula_scope, check_label
+from gamedep.parser import (
+    _ASSIGNMENT_RE,
+    LocalityError,
+    ParseError,
+    _checked,
+    _logical_lines,
+    _parse_graph_lines,
+    parse_rational,
+)
 from gamedep.prover import Hypotheses, saturate
 from gamedep.search import FuzzReport, FuzzViolation, NoneWithinBounds
 from gamedep.semantics import determined_players, holds
@@ -295,3 +308,71 @@ def fuzz_by_games(graph, hypotheses, bounds, closure=saturate) -> FuzzReport:
             if not closed <= determined:
                 violations.append(FuzzViolation(index, Atom(lhs, closed - determined), game))
     return FuzzReport(graph, bounds.sample_count, satisfied, tuple(violations))
+
+
+def parse_game_by_lines(text: str) -> Game:
+    """`parser.parse_game` checking every payoff line in full: a regex match
+    per assignment, a set comparison with the closed neighbourhood, a label
+    check per assignment and a `Fraction` per value."""
+    lines = _logical_lines(text)
+    players, edges, rest = _parse_graph_lines(lines, extra_directives=("strategies", "payoff"))
+    graph = DependencyGraph.of(players, [e for _, e in edges])
+
+    strategies: dict[str, tuple[str, ...]] = {}
+    payoff_lines = []
+    for number, tokens in rest:
+        if tokens[0] == "strategies":
+            if len(tokens) < 3:
+                raise ParseError(number, "strategies line expects a player and at least one label")
+            player = tokens[1]
+            if player not in graph:
+                raise ParseError(number, f"strategies for undeclared player {player!r}")
+            if player in strategies:
+                raise ParseError(number, f"duplicate strategies line for player {player!r}")
+            labels = []
+            for label in tokens[2:]:
+                _checked(number, check_label, label)
+                if label in labels:
+                    raise ParseError(number, f"duplicate strategy label {label!r}")
+                labels.append(label)
+            strategies[player] = tuple(labels)
+        else:
+            payoff_lines.append((number, tokens))
+
+    players_line = lines[0][0]
+    for player in graph.players:
+        if player not in strategies:
+            raise ParseError(players_line, f"player {player!r} has no strategies line")
+
+    payoffs: dict[str, dict[tuple[str, ...], Fraction]] = {}
+    for number, tokens in payoff_lines:
+        if len(tokens) < 3:
+            raise ParseError(number, "payoff line expects a player, assignments, and a value")
+        player = tokens[1]
+        if player not in graph:
+            raise ParseError(number, f"payoff for undeclared player {player!r}")
+        assignment: dict[str, str] = {}
+        for token in tokens[2:-1]:
+            match = _ASSIGNMENT_RE.match(token)
+            if not match:
+                raise ParseError(number, f"malformed assignment {token!r}, expected player=label")
+            name, label = match.group(1), match.group(2)
+            if name in assignment:
+                raise ParseError(number, f"player {name!r} assigned twice")
+            assignment[name] = label
+        local = graph.local_order(player)
+        if set(assignment) != set(local):
+            raise LocalityError(
+                number,
+                f"payoff for {player} must assign exactly its closed neighbourhood "
+                f"{{{','.join(local)}}}, got {{{','.join(sorted(assignment))}}}")
+        for name, label in assignment.items():
+            if label not in strategies[name]:
+                raise ParseError(number, f"unknown strategy {label!r} for player {name!r}")
+        key = tuple(assignment[name] for name in local)
+        table = payoffs.setdefault(player, {})
+        if key in table:
+            raise ParseError(number, f"duplicate payoff entry for {player}")
+        table[key] = parse_rational(tokens[-1], number)
+
+    return Game(graph, strategies, payoffs)

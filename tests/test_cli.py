@@ -1,8 +1,11 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +86,12 @@ class TestNe:
         assert main(["ne", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 2:")
+
+    def test_non_ascii_digit_in_a_payoff_is_a_located_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("players a\nstrategies a x\npayoff a a=x ٣\n", encoding="utf-8")
+        assert main(["ne", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 3: malformed rational '٣'\n"
 
 
 class TestProfileCap:
@@ -254,6 +263,10 @@ class TestRefute:
         err = capsys.readouterr().err
         assert err == "error: --values: malformed rational 'x'\n"
 
+    def test_non_ascii_digit_in_values(self, path_file, capsys):
+        assert main(["refute", path_file, "a |> a", "--values", "٣,1"]) == 2
+        assert capsys.readouterr().err == "error: --values: malformed rational '٣'\n"
+
     def test_bad_mode_is_a_usage_error(self, path_file):
         with pytest.raises(SystemExit) as exc:
             main(["refute", path_file, "a |> a", "--mode", "guess"])
@@ -327,3 +340,24 @@ class TestHarness:
         with pytest.raises(SystemExit) as exc:
             entry()
         assert exc.value.code == 1
+
+
+class TestModuleEntryPoints:
+    """`python -m gamedep` and `python -m gamedep.cli` behave as `main`."""
+
+    @pytest.mark.parametrize("module", ["gamedep", "gamedep.cli"])
+    @pytest.mark.parametrize("args, code", [
+        (["check", "{game}", "a |> b"], 0),
+        (["check", "{game}", "{{}} |> a"], 1),
+        (["ne", "{absent}"], 2),
+    ], ids=["holds", "fails", "unreadable"])
+    def test_output_and_exit_code_match_main(self, module, args, code, game_file,
+                                             tmp_path, capsys):
+        argv = [a.format(game=game_file, absent=tmp_path / "absent.txt") for a in args]
+        assert main(argv) == code
+        expected = capsys.readouterr()
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (code, expected.out, expected.err)

@@ -191,6 +191,22 @@ class TestGame:
         with pytest.raises(InputError, match="must be a Fraction"):
             Game(graph, {"a": ("x",), "b": ("x",)}, {"a": {("x", "x"): 1}})
 
+    @pytest.mark.parametrize("table, message", [
+        ({("x", "x"): Fraction(1), ("y",): Fraction(0)},
+         "payoff key ('y',) for player 'a' must assign exactly ('a', 'b')"),
+        ({("x", "x"): Fraction(1), ("z", "x"): Fraction(0)},
+         "payoff key for player 'a' uses unknown strategy 'z' for player 'a'"),
+        ({("x", "x"): Fraction(1), ("y", "q"): Fraction(0)},
+         "payoff key for player 'a' uses unknown strategy 'q' for player 'b'"),
+        ({("x", "x"): Fraction(1), ("y", "x"): 1},
+         "payoff for 'a' at ('y', 'x') must be a Fraction"),
+    ], ids=["key-length", "first-column", "last-column", "value-type"])
+    def test_constructor_names_the_offending_cell(self, table, message):
+        graph = builtin_graph("pair")
+        with pytest.raises(InputError) as err:
+            Game(graph, {"a": ("x", "y"), "b": ("x",)}, {"a": table})
+        assert str(err.value) == message
+
     def test_profile_iteration_is_lexicographic(self):
         game = tiny_game()
         assert list(game.profiles()) == [("x", "x"), ("y", "x")]

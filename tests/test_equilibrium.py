@@ -118,6 +118,8 @@ def assert_matches_oracle(game):
 
 
 SIGNED_VALUES = (Fraction(-2), Fraction(-1, 2), 0, Fraction(1, 3), 1, Fraction(5, 2))
+MIXED_DENOMINATORS = (Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(-1, 3),
+                      Fraction(7, 9))
 
 
 class TestAgainstDeviationOracle:
@@ -128,6 +130,22 @@ class TestAgainstDeviationOracle:
     @given(games(max_players=4, values=(0, 1, 2), drop_cells=True))
     def test_dropped_cells_and_empty_tables(self, game):
         assert_matches_oracle(game)
+
+    @given(games(max_players=4, values=MIXED_DENOMINATORS, drop_cells=True))
+    def test_values_ordered_unlike_their_numerators(self, game):
+        assert_matches_oracle(game)
+
+    @pytest.mark.parametrize("values, best", [
+        (MIXED_DENOMINATORS, "4"),
+        (MIXED_DENOMINATORS[:3], "2"),   # 1/2 beats 2/5, whose numerator is larger
+        ((Fraction(-1, 3), Fraction(-2, 7)), "1"),
+    ])
+    def test_single_player_takes_the_largest_value(self, values, best):
+        graph = DependencyGraph.of(["a"])
+        labels = tuple(str(i) for i in range(len(values)))
+        game = Game.of(graph, {"a": labels},
+                       {"a": {(label,): value for label, value in zip(labels, values)}})
+        assert enumerate_equilibria(game) == ((best,),)
 
     def test_empty_tables_kept_by_the_constructor(self):
         # Game.of drops empty tables; the constructor itself keeps them

@@ -24,6 +24,7 @@ from gamedep.parser import (
 from gamedep.search import builtin_game, builtin_graph
 
 from generators import formulas, games, graphs
+from oracles import parse_game_by_lines
 
 PATH_DOC = """\
 # the four-player path
@@ -139,6 +140,116 @@ class TestParseGame:
         assert parse_game(print_game(game)) == game
 
 
+SIGNED_VALUES = (Fraction(-7, 2), Fraction(-1, 3), 0, Fraction(2, 5), 1, 12)
+
+
+def _split_document(text):
+    """(the lines before the payoff lines, the payoff lines as token lists)."""
+    head, payoff = [], []
+    for line in text.splitlines():
+        if line.startswith("payoff "):
+            payoff.append(line.split())
+        else:
+            head.append(line)
+    return head, payoff
+
+
+def _join_document(head, payoff):
+    return "\n".join(head + [" ".join(tokens) for tokens in payoff]) + "\n"
+
+
+def _outside_player(game, player):
+    """A name outside the closed neighbourhood of `player`: a distant player
+    if there is one, else an undeclared name."""
+    local = game.graph.local_order(player)
+    return next((p for p in game.graph.players if p not in local), "z")
+
+
+# Single-fault mutations of one payoff line (a token list), each with a
+# fragment of the error it must raise.  Strategy labels are digits below 3
+# and player names single letters below "i", so "9" and "z" are unknown.
+LINE_FAULTS = {
+    "malformed assignment": (
+        lambda game, tokens: tokens[:2] + [tokens[2].replace("=", "")] + tokens[3:],
+        "malformed assignment"),
+    "player assigned twice": (
+        lambda game, tokens: tokens[:3] + [tokens[2]] + tokens[3:],
+        "assigned twice"),
+    "player assigned twice in place of another": (
+        lambda game, tokens: tokens[:-2] + [tokens[2].split("=")[0] + "=0"] + tokens[-1:]
+        if len(tokens) > 4 else tokens[:3] + [tokens[2]] + tokens[3:],
+        "assigned twice"),
+    "missing neighbour": (
+        lambda game, tokens: tokens[:2] + tokens[3:],
+        "closed neighbourhood"),
+    "extra neighbour": (
+        lambda game, tokens: tokens[:-1] + [f"{_outside_player(game, tokens[1])}=0"]
+        + tokens[-1:],
+        "closed neighbourhood"),
+    "unknown label": (
+        lambda game, tokens: tokens[:-2] + [tokens[-2].split("=")[0] + "=9"] + tokens[-1:],
+        "unknown strategy"),
+    "malformed rational": (lambda game, tokens: tokens[:-1] + ["1.5"], "malformed rational"),
+    "non-ASCII digit": (lambda game, tokens: tokens[:-1] + ["٣"], "malformed rational"),
+    "zero denominator": (lambda game, tokens: tokens[:-1] + ["1/0"], "zero denominator"),
+    "undeclared player": (
+        lambda game, tokens: tokens[:1] + ["z"] + tokens[2:], "undeclared player"),
+    "no assignments or value": (
+        lambda game, tokens: tokens[:2], "expects a player, assignments, and a value"),
+    "locality fault and unknown label": (
+        lambda game, tokens: tokens[:2] + [tokens[2].split("=")[0] + "=9"] + tokens[3:-1]
+        + [f"{_outside_player(game, tokens[1])}=0"] + tokens[-1:],
+        "closed neighbourhood"),
+}
+
+
+def _same_error(text):
+    """Both parsers reject `text` with the same type, location and message."""
+    with pytest.raises(ParseError) as fast:
+        parse_game(text)
+    with pytest.raises(ParseError) as slow:
+        parse_game_by_lines(text)
+    assert type(fast.value) is type(slow.value)
+    assert (fast.value.line, fast.value.column, str(fast.value)) == \
+        (slow.value.line, slow.value.column, str(slow.value))
+    return fast.value
+
+
+class TestAgainstLineOracle:
+    @given(games(max_players=4, values=SIGNED_VALUES, drop_cells=True), st.randoms())
+    def test_shuffled_lines_and_assignments(self, game, rng):
+        head, payoff = _split_document(print_game(game))
+        rng.shuffle(payoff)
+        for tokens in payoff:
+            assignments = tokens[2:-1]
+            rng.shuffle(assignments)
+            tokens[2:-1] = assignments
+        text = _join_document(head, payoff)
+        assert parse_game(text) == parse_game_by_lines(text) == game
+
+    @pytest.mark.parametrize("fault", LINE_FAULTS)
+    @given(game=games(max_players=4, values=SIGNED_VALUES), data=st.data())
+    def test_single_faults(self, fault, game, data):
+        mutate, fragment = LINE_FAULTS[fault]
+        head, payoff = _split_document(print_game(game))
+        index = data.draw(st.integers(0, len(payoff) - 1))
+        payoff[index] = mutate(game, payoff[index])
+        error = _same_error(_join_document(head, payoff))
+        assert fragment in str(error)
+        assert error.line == len(head) + index + 1
+        if "locality" in fault or "neighbour" in fault:
+            assert isinstance(error, LocalityError)
+
+    @given(game=games(max_players=4, values=SIGNED_VALUES), data=st.data())
+    def test_duplicate_entry(self, game, data):
+        head, payoff = _split_document(print_game(game))
+        tokens = data.draw(st.sampled_from(payoff))
+        payoff.append(tokens[:2] + data.draw(st.permutations(tokens[2:-1])) + ["7/3"])
+        error = _same_error(_join_document(head, payoff))
+        assert "duplicate payoff entry" in str(error)
+        assert error.line == len(head) + len(payoff)
+
+
 class TestRationals:
     @pytest.mark.parametrize("text,value", [
         ("0", Fraction(0)), ("-2", Fraction(-2)), ("3/4", Fraction(3, 4)),
@@ -147,7 +258,7 @@ class TestRationals:
     def test_accepts_integers_and_fractions(self, text, value):
         assert parse_rational(text) == value
 
-    @pytest.mark.parametrize("bad", ["", "x", "1.5", "1/-2", "--3", "1/0"])
+    @pytest.mark.parametrize("bad", ["", "x", "1.5", "1/-2", "--3", "1/0", "٣", "1/٢"])
     def test_rejects_everything_else(self, bad):
         with pytest.raises(ParseError):
             parse_rational(bad)

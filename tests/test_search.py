@@ -156,6 +156,10 @@ class TestBuiltinGames:
         with pytest.raises(InputError, match="unknown built-in game 'nonsense'"):
             builtin_game("nonsense")
 
+    def test_mean_mod_modulus_takes_ascii_digits_only(self):
+        with pytest.raises(InputError, match=r"unknown built-in game 'gamma1_mean_mod\(٣\)'"):
+            builtin_game("gamma1_mean_mod(٣)")
+
     def test_coordination_equilibria(self):
         game = builtin_game("coordination")
         assert set(equilibria(game)) == {("a1", "b1"), ("a2", "b2")}
