@@ -82,9 +82,8 @@ def _cmd_refute(args) -> int:
     for token in args.values.split(","):
         try:
             values.append(fmt.parse_rational(token.strip()))
-        except fmt.ParseError:
-            raise InputError(
-                f"--values: malformed rational {token.strip()!r}") from None
+        except fmt.ParseError as exc:
+            raise InputError(f"--values: {exc.reason}") from None
     bounds = SearchBounds(max_strategies=args.max_strategies,
                           payoff_values=values,
                           max_profiles=args.max_profiles,

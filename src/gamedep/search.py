@@ -22,6 +22,21 @@ equilibria are enumerated only when a formula reaches an atom: on
 strategy-index tuples, comparing payoff values by their rank in
 `sorted(payoff_values)`.  A `Game` is built (`_build`) only for a game the
 search returns: the refuting game, or a fuzzing violation.
+
+Random mode judges most candidates in blocks.  The candidates of the stream
+are independent, so after a per-game prefix of `_PER_GAME_PREFIX`
+candidates, blocks of consecutive indices (doubling in size, at most
+`_BLOCK_ELEMENTS` padded elements) are drawn and judged as numpy arrays
+(`_BlockLayout`): every raw splitmix64 output at once, each player's table
+padded to `max_strategies` strategies per member, best responses by one
+max, equilibria as a mask over the padded profile grid, and each atom by
+grouping that mask on its lhs projection.  The budget is still checked per
+candidate in stream order, from the block's counts.  Candidates are judged
+per game instead when an output in their window was rejected, when the
+padded grid or the draws of one candidate exceed the element bound (so
+the profile cap cannot fire inside a block), and in systematic mode;
+`fuzz_soundness` re-judges per game a candidate in which a derived atom
+fails, so its report is built from the per-game semantics.
 """
 
 from __future__ import annotations
@@ -34,9 +49,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
+import numpy as np
+
 from .core import (
     Atom,
     DependencyGraph,
+    Falsum,
     Formula,
     Game,
     InputError,
@@ -322,6 +340,211 @@ def random_game(graph: DependencyGraph, bounds: SearchBounds, index: int) -> Gam
     return _build(graph, bounds, counts, cells())
 
 
+def _drawn_cells(graph: DependencyGraph, bounds: SearchBounds, index: int):
+    return _draw(graph, bounds, index)[1]()
+
+
+# --- judging blocks of the random stream as arrays ----------------------------
+
+# The first candidates of a random search are judged per game, so a search
+# that stops among them pays nothing for the block layout (about as much as
+# judging a few games) or for judging candidates it never reaches.
+_PER_GAME_PREFIX = 8
+# A block holds at most this many padded elements: its candidates times the
+# larger of a candidate's padded profile grid and its draws.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _mix(z):
+    """The splitmix64 finalizer, in place on a uint64 array of states."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _rejection_limit(bound: int):
+    """The outputs at or above which `take` redraws, as a uint64, or None
+    when `bound` divides 2^64 and nothing is redrawn."""
+    rest = (1 << 64) % bound
+    return None if rest == 0 else np.uint64((1 << 64) - rest)
+
+
+class _BlockLayout:
+    """The index tables of one random search, shared by all its blocks.
+
+    Block arrays run over the candidates on their last axis.  Each player's
+    local table is padded to m = `max_strategies` strategies per member and
+    laid out own axis first: padded cell `d * rows + r` holds own strategy d
+    in row r, where player p's rows start at its row start and run
+    row-major over the other members of its closed neighbourhood in local
+    order.  A best response is then a max over the first axis of the
+    `(m, rows, candidates)` array of cells.
+
+    A cell's position among its candidate's draws is linear in the strides
+    of its owner's actual table and the start of that table, so
+    `placement @ features` places every cell of a block at once, and
+    `excess @ too_large` counts the strategies of a cell that its candidate
+    does not have (a padded cell).  `gather[p, profile]` is player p's cell
+    at each profile of the padded grid of m^n profiles (declaration order,
+    last player fastest).
+    """
+
+    def __init__(self, graph: DependencyGraph, bounds: SearchBounds, per_candidate: int):
+        n, m = len(graph.players), bounds.max_strategies
+        self.graph, self.n, self.m = graph, n, m
+        self.width = max(len(graph.local_indices(p)) for p in graph.players)
+        self.members = np.full((n, self.width), n)
+        row_starts = np.cumsum([0] + [m ** (len(graph.local_indices(p)) - 1)
+                                      for p in graph.players])
+        self.rows = int(row_starts[-1])
+        cells = m * self.rows
+        self.placement = np.zeros((cells, n * self.width + n + 1))
+        self.placement[:, -1] = 1
+        self.excess = np.zeros((cells, n * m))
+        places = np.zeros((n, n), np.intp)
+        for i, player in enumerate(graph.players):
+            local = graph.local_indices(player)
+            self.members[i, :len(local)] = local
+            order = np.array([i] + [q for q in local if q != i])   # own axis first
+            powers = m ** np.arange(len(local) - 1, -1, -1)
+            digits = np.arange(m ** len(local))[:, None] // powers % m
+            place = np.concatenate([[self.rows], powers[1:]])
+            cell = (row_starts[i] + digits @ place)[:, None]
+            self.placement[cell, i * self.width + np.searchsorted(local, order)] = digits
+            self.placement[cell, n * self.width + i] = 1
+            self.excess[cell, order * m + digits] = 1
+            places[i, order] = place
+        grid = np.arange(m ** n) // m ** np.arange(n - 1, -1, -1)[:, None] % m
+        self.gather = row_starts[:-1, None] + places @ grid
+        self.draws = n + cells
+        self.steps = np.arange(1, self.draws + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        values = len(bounds.payoff_values)
+        self.ranks = np.array([-1] + _ranks(bounds.payoff_values),   # -1: padded cell
+                              np.min_scalar_type(-values))
+        self.limits = (_rejection_limit(m), _rejection_limit(values))
+        self.max_block = _BLOCK_ELEMENTS // per_candidate
+        self._groupings: dict = {}
+
+    @classmethod
+    def of(cls, graph: DependencyGraph, bounds: SearchBounds):
+        """The layout, or None when not even one candidate fits a block."""
+        n, m = len(graph.players), bounds.max_strategies
+        if n == 0 or m ** n > _BLOCK_ELEMENTS:
+            return None
+        draws = n + sum(m ** len(graph.local_indices(p)) for p in graph.players)
+        per_candidate = max(m ** n, draws)
+        return cls(graph, bounds, per_candidate) if per_candidate <= _BLOCK_ELEMENTS else None
+
+    def block(self, seed: int, start: int, size: int):
+        """Candidates `start .. start+size-1` of the random stream with `seed`:
+        their strategy counts, whether each was rejected, and the equilibrium
+        mask, `mask[profile, candidate]` over the padded grid.
+
+        Draw j of candidate i comes from state `s_i + (j+1) * 0x9E3779B97F4A7C15`
+        (mod 2^64), so each raw output of the block is one array element.  A
+        candidate with an output at or above its rejection limit inside its
+        window draws differently, so its mask must not be used.
+        """
+        n, m = self.n, self.m
+        index = np.arange(start + 1, start + size + 1, dtype=np.uint64)
+        raw = _mix(self.steps[:, None] + (np.uint64(seed) ^ (index * np.uint64(_GOLDEN))))
+        counts = (raw[:n] % np.uint64(m)).astype(np.intp) + 1
+
+        local = np.vstack([counts, np.ones((1, size), np.intp)])[self.members]
+        within = np.cumprod(local[:, ::-1], axis=1)[:, ::-1]
+        strides = np.concatenate([within[:, 1:], np.ones_like(within[:, :1])], axis=1)
+        sizes = within[:, 0]
+        starts = n + np.cumsum(sizes, axis=0) - sizes
+        # draw j of candidate c is raw.ravel()[j * size + c]
+        features = np.vstack([strides.reshape(-1, size) * size, starts * size,
+                              np.arange(size)[None, :]])
+        where = (self.placement @ features).astype(np.intp)
+        too_large = counts[:, None, :] <= np.arange(m)[:, None]
+        padded = self.excess @ too_large.reshape(n * m, size) > 0
+
+        count_limit, cell_limit = self.limits
+        rejected = np.zeros(size, bool)
+        if count_limit is not None:
+            rejected |= (raw[:n] >= count_limit).any(axis=0)
+        if cell_limit is not None and (raw[n:] >= cell_limit).any():
+            window = np.arange(self.draws)[:, None] < starts[-1] + sizes[-1]
+            rejected |= ((raw >= cell_limit) & window)[n:].any(axis=0)
+
+        # a padded cell may point past the block: it reads rank -1 instead
+        value = raw.ravel().take(where, mode="clip")
+        value %= np.uint64(len(self.ranks) - 1)
+        value += np.uint64(1)
+        value *= ~padded
+        cells = self.ranks[value.view(np.int64)].reshape(m, self.rows, size)
+        best = ((cells == cells.max(axis=0)) & (cells >= 0)).reshape(m * self.rows, size)
+        return counts.T.tolist(), rejected.tolist(), best[self.gather].all(axis=0)
+
+    def holds(self, mask, atom: Atom):
+        """Per column of the equilibrium mask, whether `atom` holds: grouped
+        on the lhs projection, no group has two distinct rhs projections.
+        The profile permutation that puts the lhs axes first, then the rhs
+        axes not in the lhs, is computed once per atom."""
+        if atom not in self._groupings:
+            lhs = {self.graph.index(p) for p in atom.lhs}
+            rhs = {self.graph.index(p) for p in atom.rhs} - lhs
+            rest = [i for i in range(self.n) if i not in lhs and i not in rhs]
+            order = sorted(lhs) + sorted(rhs) + rest
+            perm = np.arange(self.m ** self.n).reshape((self.m,) * self.n).transpose(order)
+            shape = (self.m ** len(lhs), self.m ** len(rhs), self.m ** len(rest))
+            self._groupings[atom] = (perm.ravel(), shape) if rhs else None
+        if self._groupings[atom] is None:
+            return np.ones(mask.shape[1], bool)
+        perm, shape = self._groupings[atom]
+        pairs = mask[perm].reshape(*shape, mask.shape[1]).any(axis=2)
+        return (pairs.sum(axis=1) <= 1).all(axis=0)
+
+    def formula_holds(self, mask, formula: Formula):
+        """Per column of the equilibrium mask, the truth of `formula`."""
+        if isinstance(formula, Falsum):
+            return np.zeros(mask.shape[1], bool)
+        if isinstance(formula, Atom):
+            return self.holds(mask, formula)
+        return (~self.formula_holds(mask, formula.antecedent)
+                | self.formula_holds(mask, formula.consequent))
+
+
+def _random_candidates(graph: DependencyGraph, bounds: SearchBounds, judge):
+    """`(counts, cells, verdict)` for indices 0 .. sample_count-1 of the random
+    stream, in order, with `cells` as for `_draw`.
+
+    After the first `_PER_GAME_PREFIX` indices, candidates come in blocks
+    of doubling size, up to `_BLOCK_ELEMENTS` padded elements, and `verdict`
+    is the candidate's entry of `judge(layout, mask)`.  It is None for a
+    candidate to judge per game: one in the prefix, one whose draws were
+    rejected, and every candidate of a graph where one candidate alone
+    exceeds the element bound.
+    """
+    prefix = min(_PER_GAME_PREFIX, bounds.sample_count)
+    for index in range(prefix):
+        yield (*_draw(graph, bounds, index), None)
+    layout = _BlockLayout.of(graph, bounds) if prefix < bounds.sample_count else None
+    if layout is None:
+        for index in range(prefix, bounds.sample_count):
+            yield (*_draw(graph, bounds, index), None)
+        return
+    start, size = prefix, _PER_GAME_PREFIX
+    while start < bounds.sample_count:
+        size = min(size, layout.max_block, bounds.sample_count - start)
+        counts, rejected, mask = layout.block(bounds.seed, start, size)
+        for index, count, redraw, verdict in zip(itertools.count(start), counts, rejected,
+                                                 judge(layout, mask)):
+            if redraw:
+                yield (*_draw(graph, bounds, index), None)
+            else:
+                yield (tuple(count), functools.partial(_drawn_cells, graph, bounds, index),
+                       verdict)
+        start += size
+        size *= 2
+
+
 def _count_vectors(n: int, cap: int) -> Iterator[tuple[int, ...]]:
     """All strategy-count vectors, ascending by total then lexicographically."""
     def parts(total: int, slots: int) -> Iterator[tuple[int, ...]]:
@@ -394,19 +617,22 @@ def find_counterexample(graph: DependencyGraph, formula: Formula,
     """
     check_formula_scope(graph, formula)
     if bounds.mode == "systematic":
-        source = _systematic_draws(graph, bounds)
+        source = ((counts, cells, None) for counts, cells in _systematic_draws(graph, bounds))
     else:
-        source = (_draw(graph, bounds, i) for i in range(bounds.sample_count))
+        source = _random_candidates(
+            graph, bounds, lambda layout, mask: layout.formula_holds(mask, formula).tolist())
     ranks = _ranks(bounds.payoff_values)
     budget = bounds.max_profiles
     examined = 0
-    for counts, cells in source:
+    for counts, cells, verdict in source:
         cost = math.prod(counts)
         if cost > budget:
             return NoneWithinBounds(examined, cap_exceeded=True)
         budget -= cost
         examined += 1
-        if not evaluate(graph, _equilibria(graph, counts, cells, ranks), formula):
+        if verdict is None:
+            verdict = evaluate(graph, _equilibria(graph, counts, cells, ranks), formula)
+        if not verdict:
             return _build(graph, bounds, counts, cells())
     return NoneWithinBounds(examined)
 
@@ -458,24 +684,44 @@ def fuzz_soundness(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
     for x in range(1 << len(graph.players)):
         closed = table.closure_mask(x)
         if closed != x:
-            goals.append((graph.players_of_mask(x), graph.players_of_mask(closed)))
+            goals.append(Atom(graph.players_of_mask(x), graph.players_of_mask(closed)))
+
+    def judge(layout, mask):
+        """False where a hypothesis fails, True where the hypotheses and every
+        goal hold, None (judge per game) where a goal fails.  Goals are
+        decided only on the candidates where the hypotheses hold."""
+        assumed = np.ones(mask.shape[1], bool)
+        for atom in hypotheses:
+            assumed &= layout.holds(mask, atom)
+        kept = np.flatnonzero(assumed)
+        kept_mask = mask[:, kept]
+        derived = np.ones(len(kept), bool)
+        for goal in goals:
+            derived &= layout.holds(kept_mask, goal)
+        verdicts = [False] * mask.shape[1]
+        for column, holds in zip(kept.tolist(), derived.tolist()):
+            verdicts[column] = True if holds else None
+        return verdicts
+
     ranks = _ranks(bounds.payoff_values)
     tested = 0
     satisfied = 0
     violations: list[FuzzViolation] = []
-    for index in range(bounds.sample_count):
-        counts, cells = _draw(graph, bounds, index)
-        found = _equilibria(graph, counts, cells, ranks)
+    for index, (counts, cells, verdict) in enumerate(_random_candidates(graph, bounds, judge)):
         tested += 1
+        if verdict is not None:  # judged in a block: True counts as satisfied
+            satisfied += verdict
+            continue
+        found = _equilibria(graph, counts, cells, ranks)
         if not all(evaluate(graph, found, atom) for atom in hypotheses):
             continue
         satisfied += 1
         game = None
-        for lhs, closed in goals:
-            determined = constant_within_groups(graph, found, lhs, graph.players)
-            if not closed <= determined:
+        for goal in goals:
+            determined = constant_within_groups(graph, found, goal.lhs, graph.players)
+            if not goal.rhs <= determined:
                 if game is None:
                     game = _build(graph, bounds, counts, cells())
                 violations.append(
-                    FuzzViolation(index, Atom(lhs, closed - determined), game))
+                    FuzzViolation(index, Atom(goal.lhs, goal.rhs - determined), game))
     return FuzzReport(graph, tested, satisfied, tuple(violations))

@@ -259,9 +259,10 @@ class TestRefute:
         assert values <= {Fraction(0), Fraction(1, 2)}
 
     def test_bad_values_list(self, path_file, capsys):
-        assert main(["refute", path_file, "a |> a", "--values", "0,x"]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: --values: malformed rational 'x'\n"
+        for values, reason in [("0,x", "malformed rational 'x'"),
+                               ("1/0", "rational '1/0' has a zero denominator")]:
+            assert main(["refute", path_file, "a |> a", "--values", values]) == 2
+            assert capsys.readouterr().err == f"error: --values: {reason}\n"
 
     def test_non_ascii_digit_in_values(self, path_file, capsys):
         assert main(["refute", path_file, "a |> a", "--values", "٣,1"]) == 2

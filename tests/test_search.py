@@ -25,11 +25,15 @@ from gamedep.equilibrium import equilibria, is_equilibrium
 from gamedep.parser import parse_formula, print_game, print_graph
 from gamedep.prover import Hypotheses, saturate
 from gamedep.search import (
+    _GOLDEN,
+    _PER_GAME_PREFIX,
+    MASK64,
     FuzzReport,
     FuzzViolation,
     NoneWithinBounds,
     SearchBounds,
     SplitMix64,
+    _BlockLayout,
     _count_vectors,
     _draw,
     _stream,
@@ -400,6 +404,8 @@ def _seeded_formula(rng, graph, depth=2):
 
 
 _VALUE_LISTS = [(1, 0), (-1, Fraction(1, 2), 0), (0, 1)]
+# random mode also runs on three- and five-value lists; more values, fewer ties
+_WIDE_VALUE_LISTS = _VALUE_LISTS + [(3, Fraction(-1, 5), 0, 9, 1), (2, 7, 1)]
 
 
 def _search_cases(count, mode, seed):
@@ -410,12 +416,36 @@ def _search_cases(count, mode, seed):
         if rng.random() < 0.3:  # an atom that rarely fails: the run goes to its end
             formula = Implication(formula, Atom(frozenset(graph.players[:1]),
                                                 frozenset(graph.players[:1])))
-        budget = rng.choice([1, 5, 40, 300] if mode == "systematic"
-                            else [3, 50, 400, 10_000_000])
-        yield graph, formula, SearchBounds(
-            max_strategies=rng.randint(1, 3), payoff_values=rng.choice(_VALUE_LISTS),
-            max_profiles=budget, seed=rng.getrandbits(64), mode=mode,
-            sample_count=rng.randint(1, 40))
+        if mode == "systematic":
+            budget = rng.choice([1, 5, 40, 300])
+            yield graph, formula, SearchBounds(
+                max_strategies=rng.randint(1, 3), payoff_values=rng.choice(_VALUE_LISTS),
+                max_profiles=budget, seed=rng.getrandbits(64), mode=mode,
+                sample_count=rng.randint(1, 40))
+        else:  # long enough to cross from per-game judging into several blocks
+            budget = rng.choice([3, 50, 400, 3000, 10_000_000])
+            yield graph, formula, SearchBounds(
+                max_strategies=rng.randint(1, 4), payoff_values=rng.choice(_WIDE_VALUE_LISTS),
+                max_profiles=budget, seed=rng.getrandbits(64), mode=mode,
+                sample_count=rng.randint(1, 300))
+
+
+def _unxorshift(value, shift):
+    """The x with `x ^ (x >> shift) == value`."""
+    x = value
+    for _ in range(64 // shift + 1):
+        x = value ^ (x >> shift)
+    return x
+
+
+def _seed_rejecting(index, draw):
+    """A stream seed whose candidate `index` outputs 2^64 - 1 at raw draw
+    `draw`.  The finalizer's xorshift and odd-multiplier steps are
+    bijections, so they are inverted to find that draw's state."""
+    z = _unxorshift(MASK64, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64
+    z = _unxorshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64
+    start = (_unxorshift(z, 30) - (draw + 1) * _GOLDEN) & MASK64   # the stream's seed
+    return start ^ ((index + 1) * _GOLDEN & MASK64)
 
 
 class TestAgainstPerGameLoops:
@@ -444,6 +474,68 @@ class TestAgainstPerGameLoops:
                 outcome = find_counterexample(graph, formula, bounds)
                 assert outcome == counterexample_by_games(graph, formula, bounds)
                 assert outcome.cap_exceeded
+        for budget in (1000, 4000):  # random mode: the budget runs out inside a block
+            bounds = SearchBounds(max_profiles=budget, seed=5, sample_count=400)
+            outcome = find_counterexample(graph, formula, bounds)
+            assert outcome == counterexample_by_games(graph, formula, bounds)
+            assert outcome.cap_exceeded and outcome.games_examined > 2 * _PER_GAME_PREFIX
+
+    def test_first_failures_past_the_per_game_prefix(self):
+        # all players but v determine v: fails only on a tie in v's best responses
+        rng = random.Random("late failures")
+        late = 0
+        for _ in range(12):
+            graph = _seeded_graph(rng)
+            v = rng.choice(graph.players)
+            formula = Atom(frozenset(graph.players) - {v}, frozenset({v}))
+            bounds = SearchBounds(max_strategies=2, payoff_values=_WIDE_VALUE_LISTS[-2],
+                                  seed=rng.getrandbits(64), sample_count=300)
+            outcome = find_counterexample(graph, formula, bounds)
+            assert outcome == counterexample_by_games(graph, formula, bounds)
+            if outcome:
+                index = next(i for i in range(bounds.sample_count)
+                             if random_game(graph, bounds, i) == outcome)
+                late += index >= _PER_GAME_PREFIX
+        assert late >= 5
+
+    def test_graphs_beyond_the_block_bound_are_judged_per_game(self):
+        players = [f"p{i}" for i in range(9)]
+        graph = DependencyGraph.of(players, zip(players, players[1:]))
+        bounds = SearchBounds(max_strategies=4, seed=8, sample_count=30)
+        assert 4 ** 9 > gamedep.search._BLOCK_ELEMENTS
+        assert _BlockLayout.of(graph, bounds) is None
+        for text in ("p0 |> p0", "p0,p2 |> p1", "p3 |> p5 -> p4 |> p5"):
+            formula = parse_formula(text, graph)
+            assert (find_counterexample(graph, formula, bounds)
+                    == counterexample_by_games(graph, formula, bounds))
+        atoms = [Atom.of(["p0"], ["p8"])]
+        assert fuzz_soundness(graph, atoms, bounds) == fuzz_by_games(graph, atoms, bounds)
+
+    @pytest.mark.parametrize("index, draw", [
+        (0, 0),     # candidate 0's first strategy count, judged per game
+        (20, 4),    # the first payoff cell of a candidate inside a block
+    ])
+    def test_rejected_draws_are_redrawn(self, index, draw, monkeypatch):
+        # bound 3 rejects exactly the output 2^64 - 1 (3 does not divide 2^64)
+        graph = builtin_graph("gamma1")
+        bounds = SearchBounds(max_strategies=3, payoff_values=(0, 1, 2),
+                              seed=_seed_rejecting(index, draw), sample_count=60)
+        outputs = _stream(bounds.seed, index)
+        assert [outputs.next() for _ in range(draw + 1)][draw] == MASK64
+        assert random_game(graph, bounds, index) == game_by_draws(graph, bounds, index)
+
+        drawn = []
+        real = gamedep.search._draw
+        monkeypatch.setattr(gamedep.search, "_draw",
+                            lambda g, b, i: drawn.append(i) or real(g, b, i))
+        for text in ("a |> a", "(a |> d) -> b,c |> d", "b |> c", "a,c |> b"):
+            formula = parse_formula(text, graph)
+            assert (find_counterexample(graph, formula, bounds)
+                    == counterexample_by_games(graph, formula, bounds))
+            if text == "a |> a":  # never fails: blocks draw only the rejected candidate
+                assert drawn == sorted({*range(_PER_GAME_PREFIX), index})
+        atoms = [Atom.of("a", "d")]
+        assert fuzz_soundness(graph, atoms, bounds) == fuzz_by_games(graph, atoms, bounds)
 
     def test_generated_games_match_the_documented_stream(self):
         rng = random.Random(3)
@@ -464,12 +556,13 @@ class TestAgainstPerGameLoops:
         rng = random.Random(f"fuzz:{seed}")
         for _ in range(6):
             graph = _seeded_graph(rng)
-            atoms = [Atom(frozenset(rng.sample(graph.players, rng.randint(0, 2))),
+            most = min(2, len(graph.players))
+            atoms = [Atom(frozenset(rng.sample(graph.players, rng.randint(0, most))),
                           frozenset(rng.sample(graph.players, 1)))
                      for _ in range(rng.randint(0, 2))]
-            bounds = SearchBounds(max_strategies=rng.randint(1, 3),
-                                  payoff_values=rng.choice(_VALUE_LISTS),
-                                  seed=rng.getrandbits(64), sample_count=25)
+            bounds = SearchBounds(max_strategies=rng.randint(1, 4),
+                                  payoff_values=rng.choice(_WIDE_VALUE_LISTS),
+                                  seed=rng.getrandbits(64), sample_count=rng.randint(1, 300))
             assert fuzz_soundness(graph, atoms, bounds) == fuzz_by_games(graph, atoms, bounds)
 
 
@@ -526,6 +619,16 @@ class TestResourceGuards:
         game = find_counterexample(graph, FALSUM, SearchBounds(seed=9))
         assert game == random_game(graph, SearchBounds(seed=9), 0)
         assert len(log.calls) == 2 + 2  # counts and cells, twice
+
+    def test_searches_that_stop_in_the_per_game_prefix_set_up_no_block(self, monkeypatch):
+        def no_layout(graph, bounds):
+            raise AssertionError("block layout built")
+        monkeypatch.setattr(_BlockLayout, "of", no_layout)
+        graph = builtin_graph("gamma2")
+        bounds = SearchBounds(seed=9)
+        assert find_counterexample(graph, FALSUM, bounds) == random_game(graph, bounds, 0)
+        bounds = SearchBounds(seed=9, sample_count=_PER_GAME_PREFIX)
+        assert fuzz_soundness(graph, [Atom.of("a", "d")], bounds).games_tested == 8
 
     def test_enumeration_cap_is_checked_before_any_cell_is_drawn(self, monkeypatch):
         players = [f"p{i}" for i in range(12)]
