@@ -33,8 +33,9 @@ max, equilibria as a mask over the padded profile grid, and each atom by
 grouping that mask on its lhs projection.  The budget is still checked per
 candidate in stream order, from the block's counts.  Candidates are judged
 per game instead when an output in their window was rejected, when the
-padded grid or the draws of one candidate exceed the element bound (so
-the profile cap cannot fire inside a block), and in systematic mode;
+padded grid has more than `_GRID_PROFILES` profiles (past it the dense
+grid costs more than the sparse per-game join, and the profile cap cannot
+fire inside a block), and in systematic mode;
 `fuzz_soundness` re-judges per game a candidate in which a derived atom
 fails, so its report is built from the per-game semantics.
 """
@@ -353,6 +354,13 @@ _PER_GAME_PREFIX = 8
 # A block holds at most this many padded elements: its candidates times the
 # larger of a candidate's padded profile grid and its draws.
 _BLOCK_ELEMENTS = 1 << 16
+# Graphs whose padded grid has more profiles than this are judged per game.
+# A block pays, per candidate, one gather per player and one grouping per
+# atom over the whole grid, while per-game judging joins sparse tables.  On
+# paths and cycles (2-vCPU VM) the block path took 0.1-0.9 of the per-game
+# time up to 4096 profiles, and 1.2-4.8 times it from 6561 (fuzz-soundness)
+# or 8192 (refute) profiles on.
+_GRID_PROFILES = 1 << 12
 
 
 def _mix(z):
@@ -430,13 +438,17 @@ class _BlockLayout:
 
     @classmethod
     def of(cls, graph: DependencyGraph, bounds: SearchBounds):
-        """The layout, or None when not even one candidate fits a block."""
+        """The layout, or None when the padded grid exceeds `_GRID_PROFILES`.
+        The mask is read with one axis per player, and numpy before 2.0
+        allows 32 axes, so graphs of 32 players or more (within the grid
+        bound only with one strategy each) are judged per game too.  Within
+        both bounds one candidate fits a block: its draws number at most
+        n + n * m^n, and n <= 12 when m >= 2."""
         n, m = len(graph.players), bounds.max_strategies
-        if n == 0 or m ** n > _BLOCK_ELEMENTS:
+        if not 0 < n < 32 or m ** n > _GRID_PROFILES:
             return None
         draws = n + sum(m ** len(graph.local_indices(p)) for p in graph.players)
-        per_candidate = max(m ** n, draws)
-        return cls(graph, bounds, per_candidate) if per_candidate <= _BLOCK_ELEMENTS else None
+        return cls(graph, bounds, max(m ** n, draws))
 
     def block(self, seed: int, start: int, size: int):
         """Candidates `start .. start+size-1` of the random stream with `seed`:
@@ -485,20 +497,21 @@ class _BlockLayout:
     def holds(self, mask, atom: Atom):
         """Per column of the equilibrium mask, whether `atom` holds: grouped
         on the lhs projection, no group has two distinct rhs projections.
-        The profile permutation that puts the lhs axes first, then the rhs
-        axes not in the lhs, is computed once per atom."""
+        The mask is read with one axis per player and copied with the lhs
+        axes first, then the rhs axes not in the lhs, then the rest: `any`
+        over the rest leaves the (lhs, rhs) projections that occur, and a
+        sum counts them per lhs projection."""
         if atom not in self._groupings:
-            lhs = {self.graph.index(p) for p in atom.lhs}
-            rhs = {self.graph.index(p) for p in atom.rhs} - lhs
+            lhs = sorted(self.graph.index(p) for p in atom.lhs)
+            rhs = sorted({self.graph.index(p) for p in atom.rhs} - set(lhs))
             rest = [i for i in range(self.n) if i not in lhs and i not in rhs]
-            order = sorted(lhs) + sorted(rhs) + rest
-            perm = np.arange(self.m ** self.n).reshape((self.m,) * self.n).transpose(order)
             shape = (self.m ** len(lhs), self.m ** len(rhs), self.m ** len(rest))
-            self._groupings[atom] = (perm.ravel(), shape) if rhs else None
+            self._groupings[atom] = (lhs + rhs + rest + [self.n], shape) if rhs else None
         if self._groupings[atom] is None:
             return np.ones(mask.shape[1], bool)
-        perm, shape = self._groupings[atom]
-        pairs = mask[perm].reshape(*shape, mask.shape[1]).any(axis=2)
+        order, shape = self._groupings[atom]
+        grid = mask.reshape((self.m,) * self.n + (mask.shape[1],)).transpose(order)
+        pairs = grid.reshape(*shape, mask.shape[1]).any(axis=2)
         return (pairs.sum(axis=1) <= 1).all(axis=0)
 
     def formula_holds(self, mask, formula: Formula):
@@ -519,8 +532,8 @@ def _random_candidates(graph: DependencyGraph, bounds: SearchBounds, judge):
     of doubling size, up to `_BLOCK_ELEMENTS` padded elements, and `verdict`
     is the candidate's entry of `judge(layout, mask)`.  It is None for a
     candidate to judge per game: one in the prefix, one whose draws were
-    rejected, and every candidate of a graph where one candidate alone
-    exceeds the element bound.
+    rejected, and every candidate of a graph that `_BlockLayout.of` leaves
+    to per-game judging.
     """
     prefix = min(_PER_GAME_PREFIX, bounds.sample_count)
     for index in range(prefix):

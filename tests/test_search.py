@@ -498,11 +498,30 @@ class TestAgainstPerGameLoops:
                 late += index >= _PER_GAME_PREFIX
         assert late >= 5
 
-    def test_graphs_beyond_the_block_bound_are_judged_per_game(self):
+    def test_grids_at_the_bound_are_judged_in_blocks(self):
+        assert gamedep.search._GRID_PROFILES == 4 ** 6 == 2 ** 12
+        players = [f"p{i}" for i in range(12)]
+        cases = [(builtin_graph("gamma5"), 4, [Atom.of("a", "d"), Atom.of("bc", "f")]),
+                 (DependencyGraph.of(players, zip(players, players[1:])), 2,
+                  [Atom.of(players[:10], ["p10"])])]
+        for graph, most, atoms in cases:
+            bounds = SearchBounds(max_strategies=most, payoff_values=range(9), seed=8,
+                                  sample_count=80)
+            assert _BlockLayout.of(graph, bounds) is not None
+            # valid implications walk the whole stream; the last atom fails past
+            # the prefix (at candidates 23 and 32), on a tie in v's best responses
+            v = graph.players[1]
+            for formula in [Implication(atom, atom) for atom in atoms] + [
+                    Atom(frozenset(graph.players) - {v}, frozenset({v}))]:
+                assert (find_counterexample(graph, formula, bounds)
+                        == counterexample_by_games(graph, formula, bounds))
+            assert fuzz_soundness(graph, atoms, bounds) == fuzz_by_games(graph, atoms, bounds)
+
+    def test_graphs_beyond_the_grid_bound_are_judged_per_game(self):
         players = [f"p{i}" for i in range(9)]
         graph = DependencyGraph.of(players, zip(players, players[1:]))
         bounds = SearchBounds(max_strategies=4, seed=8, sample_count=30)
-        assert 4 ** 9 > gamedep.search._BLOCK_ELEMENTS
+        assert 4 ** 9 > gamedep.search._GRID_PROFILES
         assert _BlockLayout.of(graph, bounds) is None
         for text in ("p0 |> p0", "p0,p2 |> p1", "p3 |> p5 -> p4 |> p5"):
             formula = parse_formula(text, graph)
@@ -510,6 +529,26 @@ class TestAgainstPerGameLoops:
                     == counterexample_by_games(graph, formula, bounds))
         atoms = [Atom.of(["p0"], ["p8"])]
         assert fuzz_soundness(graph, atoms, bounds) == fuzz_by_games(graph, atoms, bounds)
+
+    def test_large_grids_and_one_strategy_graphs_build_no_block(self, monkeypatch):
+        built = []
+        real = _BlockLayout.of
+        monkeypatch.setattr(_BlockLayout, "of",
+                            lambda *args: built.append(real(*args)) or built[-1])
+        # 3^10 profiles: every derived goal would group the whole padded grid
+        players = [f"p{i}" for i in range(10)]
+        graph = DependencyGraph.of(players, zip(players, players[1:]))
+        bounds = SearchBounds(seed=4, sample_count=12)
+        atoms = [Atom.of(["p0"], ["p9"])]
+        assert fuzz_soundness(graph, atoms, bounds) == fuzz_by_games(graph, atoms, bounds)
+        # one strategy each: 40 players would need a mask of 41 axes
+        players = [f"q{i}" for i in range(40)]
+        graph = DependencyGraph.of(players, zip(players, players[1:]))
+        bounds = SearchBounds(max_strategies=1, seed=4, sample_count=12)
+        formula = parse_formula("q0 |> q39", graph)
+        assert (find_counterexample(graph, formula, bounds)
+                == counterexample_by_games(graph, formula, bounds))
+        assert built == [None, None]
 
     @pytest.mark.parametrize("index, draw", [
         (0, 0),     # candidate 0's first strategy count, judged per game
@@ -621,7 +660,7 @@ class TestResourceGuards:
         assert len(log.calls) == 2 + 2  # counts and cells, twice
 
     def test_searches_that_stop_in_the_per_game_prefix_set_up_no_block(self, monkeypatch):
-        def no_layout(graph, bounds):
+        def no_layout(*args):
             raise AssertionError("block layout built")
         monkeypatch.setattr(_BlockLayout, "of", no_layout)
         graph = builtin_graph("gamma2")
