@@ -40,10 +40,12 @@ from .parser import (
     ParseError,
     ScopeError,
     parse_atom,
+    parse_derivation,
     parse_formula,
     parse_game,
     parse_graph,
     parse_rational,
+    print_derivation,
     print_formula,
     print_game,
     print_graph,
@@ -57,8 +59,6 @@ from .prover import (
     check_derivation,
     derive_tree,
     derives,
-    parse_derivation,
-    print_derivation,
     saturate,
     sparse,
     sparse_set_principle,

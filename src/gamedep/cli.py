@@ -14,14 +14,8 @@ from pathlib import Path
 
 from . import parser as fmt
 from .core import InputError, ResourceLimitError, validate_game
-from .equilibrium import enumerate_equilibria
-from .prover import (
-    Hypotheses,
-    check_derivation,
-    derive_tree,
-    parse_derivation,
-    print_derivation,
-)
+from .equilibrium import DEFAULT_PROFILE_CAP, enumerate_equilibria
+from .prover import Hypotheses, check_derivation, derive_tree
 from .search import (
     NoneWithinBounds,
     SearchBounds,
@@ -38,6 +32,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def _assumptions(graph, texts) -> Hypotheses:
@@ -71,7 +67,7 @@ def _cmd_prove(args) -> int:
     if derivation is None:
         print("not derivable")
         return 1
-    sys.stdout.write(print_derivation(derivation, graph))
+    sys.stdout.write(fmt.print_derivation(derivation, graph))
     return 0
 
 
@@ -124,7 +120,7 @@ def _cmd_fuzz(args) -> int:
 def _cmd_prove_check(args) -> int:
     graph = fmt.parse_graph(_read(args.graph_file))
     hypotheses = _assumptions(graph, args.assume)
-    derivation = parse_derivation(_read(args.derivation_file), graph)
+    derivation = fmt.parse_derivation(_read(args.derivation_file), graph)
     outcome = check_derivation(graph, hypotheses, derivation)
     if outcome.ok:
         print("verified")
@@ -167,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     refute.add_argument("--seed", type=int, default=0)
     refute.add_argument("--samples", type=int, default=4000, metavar="N",
                         help="games sampled in random mode")
-    refute.add_argument("--max-profiles", type=int, default=10_000_000,
+    refute.add_argument("--max-profiles", type=int, default=DEFAULT_PROFILE_CAP,
                         metavar="N", help="cumulative strategy-profile budget")
     refute.set_defaults(run=_cmd_refute)
 

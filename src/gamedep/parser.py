@@ -1,10 +1,12 @@
-"""Text formats for dependency graphs, games, and dependence formulas.
+"""Text formats for dependency graphs, games, dependence formulas, and
+derivations; the only module that reads or writes them.
 
 All formats are plain ASCII and line oriented: `#` starts a comment that
 runs to the end of the line and blank lines are ignored.  Every parse
 error carries the 1-based line number (formula errors also carry a
 column).  Printing is canonical, and parsing a printed value gives back
-an equal value.
+an equal value.  A document is read in one pass over its lines; a number
+of more than `sys.get_int_max_str_digits()` digits is a located error.
 
 Graphs::
 
@@ -18,13 +20,16 @@ Games extend graphs with strategy and payoff lines::
     payoff a a=a1 b=b1 1          # rationals: 1, -2, 3/4
     payoff b a=a1 b=b1 1
 
-A payoff line must assign exactly the closed neighbourhood of its player,
-in any order; unlisted cells default to 0.  Parsing a payoff line costs one
-dict lookup per assignment, in a table of the valid `w=label` tokens of the
-player's closed neighbourhood, and one `Fraction` per distinct value token.
-A line that misses the table is diagnosed by the full per-line checks, in
-the order: line shape, declared player, assignment syntax, repeated
-player, locality, labels; then a duplicate entry and the value.
+Faults are reported in document order within four groups, first to last:
+graph lines, strategies lines, a player without strategies (at the players
+line), payoff lines.  A payoff line must assign exactly the closed
+neighbourhood of its player, in any order; unlisted cells default to 0.
+Parsing a payoff line costs one dict lookup per assignment, in a table of
+the valid `w=label` tokens of the player's closed neighbourhood, and one
+`Fraction` per distinct value token.  A line that misses the table is
+diagnosed by the full per-line checks, in the order: line shape, declared
+player, assignment syntax, repeated player, locality, labels; then a
+duplicate entry and the value.
 
 Formulas::
 
@@ -35,16 +40,32 @@ Formulas::
     atom    := set '|>' set
     set     := '{' idlist? '}' | idlist
     idlist  := id (',' id)*
+
+Derivations carry one step per line::
+
+    <index>. <atom> [<Rule> <args>]
+
+where <index> counts from 1 in order, <atom> uses the formula grammar,
+premise arguments are step indices, and set arguments are braced::
+
+    1. a |> d [Hypothesis]
+    2. b,c |> d [Contiguity 1 cut={a,b}|{c,d} A={a}]
+
+Rules: Hypothesis | Reflexivity | Augmentation <p> C={..} |
+Transitivity <p> <q> | Contiguity <p> cut={U}|{W} A={A} |
+LeftMonotonicity <p> add={..}
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .core import (
     FALSUM,
     Atom,
+    Cut,
     DependencyGraph,
     Falsum,
     Formula,
@@ -54,6 +75,16 @@ from .core import (
     check_label,
     check_player_name,
 )
+from .prover import (
+    Augmentation,
+    ByHypothesis,
+    Contiguity,
+    Derivation,
+    LeftMonotonicity,
+    Reflexivity,
+    Step,
+    Transitivity,
+)
 
 __all__ = [
     "LocalityError",
@@ -61,10 +92,12 @@ __all__ = [
     "ScopeError",
     "format_player_set",
     "parse_atom",
+    "parse_derivation",
     "parse_formula",
     "parse_game",
     "parse_graph",
     "parse_rational",
+    "print_derivation",
     "print_formula",
     "print_game",
     "print_graph",
@@ -90,13 +123,13 @@ class LocalityError(ParseError):
     """A payoff line is keyed by something other than the closed neighbourhood."""
 
 
-def _logical_lines(text: str) -> list[tuple[int, str]]:
-    lines = []
+def _logical_lines(text: str):
+    """(line number, content) of each line that has content once its comment
+    and surrounding whitespace are stripped."""
     for number, raw in enumerate(text.split("\n"), 1):
-        content = raw.split("#", 1)[0].strip()
+        content = raw.partition("#")[0].strip()
         if content:
-            lines.append((number, content))
-    return lines
+            yield number, content
 
 
 def _checked(line: int, check, value: str) -> str:
@@ -106,36 +139,49 @@ def _checked(line: int, check, value: str) -> str:
         raise ParseError(line, str(exc)) from None
 
 
-def parse_graph(text: str) -> DependencyGraph:
-    players, edges = _parse_graph_lines(_logical_lines(text))
-    return DependencyGraph.of(players, [e for _, e in edges])
+def _integer(digits: str, line: int) -> int | None:
+    """The value of `digits` if it is ASCII digits, else None; a number too
+    long for `int` is a located error that gives its length, not its digits."""
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(line, f"number of {len(digits)} digits exceeds the limit of "
+                               f"{sys.get_int_max_str_digits()}") from None
 
 
-def _parse_graph_lines(lines, extra_directives=()):
-    """Shared graph front end: returns (players, [(line, edge)]) plus leftovers."""
-    if not lines:
+def _read_document(text: str, game: bool):
+    """One pass over a graph document, or a game document when `game` is set:
+    checks the players line, the edges and every directive in document order.
+    Returns the graph, the players line's number, and a game's strategies
+    and payoff lines as (line number, tokens) lists."""
+    lines = _logical_lines(text)
+    first = next(lines, None)
+    if first is None:
         raise ParseError(1, "empty document: expected a players line")
-    number, content = lines[0]
+    players_line, content = first
     tokens = content.split()
     if tokens[0] != "players":
-        raise ParseError(number, f"expected a players line first, got {tokens[0]!r}")
+        raise ParseError(players_line, f"expected a players line first, got {tokens[0]!r}")
     if len(tokens) < 2:
-        raise ParseError(number, "players line declares no players")
+        raise ParseError(players_line, "players line declares no players")
     players: dict[str, None] = {}  # a dict keeps declaration order and looks up in O(1)
     for name in tokens[1:]:
-        _checked(number, check_player_name, name)
+        _checked(players_line, check_player_name, name)
         if name in players:
-            raise ParseError(number, f"duplicate player {name!r}")
+            raise ParseError(players_line, f"duplicate player {name!r}")
         players[name] = None
-    edges: list[tuple[int, tuple[str, str]]] = []
-    rest: list[tuple[int, list[str]]] = []
+    edges: list[tuple[str, str]] = []
     seen_pairs = set()
-    for number, content in lines[1:]:
+    strategies_lines: list[tuple[int, list[str]]] = []
+    payoff_lines: list[tuple[int, list[str]]] = []
+    for number, content in lines:
         tokens = content.split()
         directive = tokens[0]
-        if directive == "players":
-            raise ParseError(number, "duplicate players line")
-        if directive == "edge":
+        if directive == "payoff" and game:
+            payoff_lines.append((number, tokens))
+        elif directive == "edge":
             if len(tokens) != 3:
                 raise ParseError(number, "edge line expects exactly two players")
             u, v = tokens[1], tokens[2]
@@ -148,62 +194,66 @@ def _parse_graph_lines(lines, extra_directives=()):
             if pair in seen_pairs:
                 raise ParseError(number, f"duplicate edge {u} {v}")
             seen_pairs.add(pair)
-            edges.append((number, (u, v)))
-        elif directive in extra_directives:
-            rest.append((number, tokens))
+            edges.append((u, v))
+        elif directive == "strategies" and game:
+            strategies_lines.append((number, tokens))
+        elif directive == "players":
+            raise ParseError(number, "duplicate players line")
         else:
             raise ParseError(number, f"unknown directive {directive!r}")
-    if extra_directives:
-        return list(players), edges, rest
-    return list(players), edges
+    graph = DependencyGraph.of(players, edges)
+    return graph, players_line, strategies_lines, payoff_lines
 
 
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z", re.ASCII)
+def parse_graph(text: str) -> DependencyGraph:
+    return _read_document(text, game=False)[0]
+
+
+_RATIONAL_RE = re.compile(r"(-?)(\d+)(?:/(\d+))?\Z", re.ASCII)
 
 
 def parse_rational(token: str, line: int = 1) -> Fraction:
     match = _RATIONAL_RE.match(token)
     if not match:
         raise ParseError(line, f"malformed rational {token!r}")
-    numerator = int(match.group(1))
-    if match.group(2) is None:
-        return Fraction(numerator)
-    denominator = int(match.group(2))
+    sign, numerator, denominator = match.groups()
+    numerator = _integer(numerator, line)
+    denominator = 1 if denominator is None else _integer(denominator, line)
     if denominator == 0:
         raise ParseError(line, f"rational {token!r} has a zero denominator")
-    return Fraction(numerator, denominator)
+    return Fraction(-numerator if sign else numerator, denominator)
+
+
+def _mean_mod_modulus(name: str) -> int | None:
+    """p of the built-in game name `gamma1_mean_mod(p)`, None for other names."""
+    if name.startswith("gamma1_mean_mod(") and name.endswith(")"):
+        return _integer(name[len("gamma1_mean_mod("):-1], 1)
+    return None
 
 
 _ASSIGNMENT_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)=([A-Za-z0-9_]+)\Z")
 
 
 def parse_game(text: str) -> Game:
-    lines = _logical_lines(text)
-    players, edges, rest = _parse_graph_lines(lines, extra_directives=("strategies", "payoff"))
-    graph = DependencyGraph.of(players, [e for _, e in edges])
+    graph, players_line, strategies_lines, payoff_lines = _read_document(text, game=True)
 
     strategies: dict[str, tuple[str, ...]] = {}
-    payoff_lines = []
-    for number, tokens in rest:
-        if tokens[0] == "strategies":
-            if len(tokens) < 3:
-                raise ParseError(number, "strategies line expects a player and at least one label")
-            player = tokens[1]
-            if player not in graph:
-                raise ParseError(number, f"strategies for undeclared player {player!r}")
-            if player in strategies:
-                raise ParseError(number, f"duplicate strategies line for player {player!r}")
-            labels = []
-            for label in tokens[2:]:
-                _checked(number, check_label, label)
-                if label in labels:
-                    raise ParseError(number, f"duplicate strategy label {label!r}")
-                labels.append(label)
-            strategies[player] = tuple(labels)
-        else:
-            payoff_lines.append((number, tokens))
+    for number, tokens in strategies_lines:
+        if len(tokens) < 3:
+            raise ParseError(number, "strategies line expects a player and at least one label")
+        player = tokens[1]
+        if player not in graph:
+            raise ParseError(number, f"strategies for undeclared player {player!r}")
+        if player in strategies:
+            raise ParseError(number, f"duplicate strategies line for player {player!r}")
+        labels = []
+        for label in tokens[2:]:
+            _checked(number, check_label, label)
+            if label in labels:
+                raise ParseError(number, f"duplicate strategy label {label!r}")
+            labels.append(label)
+        strategies[player] = tuple(labels)
 
-    players_line = lines[0][0]
     for player in graph.players:
         if player not in strategies:
             raise ParseError(players_line, f"player {player!r} has no strategies line")
@@ -472,3 +522,108 @@ def print_formula(formula: Formula, graph: DependencyGraph) -> str:
             antecedent = f"({antecedent})"
         return f"{antecedent} -> {print_formula(formula.consequent, graph)}"
     raise InputError(f"not a formula: {formula!r}")
+
+
+# --- derivations ------------------------------------------------------------
+
+
+def print_derivation(derivation: Derivation, graph: DependencyGraph) -> str:
+    def braced(players) -> str:
+        return format_player_set(graph, players, braced=True)
+
+    lines = []
+    for i, step in enumerate(derivation.steps):
+        atom = print_formula(step.atom, graph)
+        rule = step.rule
+        if isinstance(rule, ByHypothesis):
+            text = "Hypothesis"
+        elif isinstance(rule, Reflexivity):
+            text = "Reflexivity"
+        elif isinstance(rule, Augmentation):
+            text = f"Augmentation {rule.premise + 1} C={braced(rule.added)}"
+        elif isinstance(rule, Transitivity):
+            text = f"Transitivity {rule.first + 1} {rule.second + 1}"
+        elif isinstance(rule, Contiguity):
+            text = (f"Contiguity {rule.premise + 1} cut={braced(rule.cut.left)}|"
+                    f"{braced(rule.cut.right)} A={braced(rule.separated)}")
+        elif isinstance(rule, LeftMonotonicity):
+            text = f"LeftMonotonicity {rule.premise + 1} add={braced(rule.added)}"
+        else:
+            raise InputError(f"unknown rule {rule!r}")
+        lines.append(f"{i + 1}. {atom} [{text}]")
+    return "\n".join(lines) + "\n"
+
+
+def _parse_braced_set(token: str, prefix: str, line: int,
+                      graph: DependencyGraph) -> frozenset[str]:
+    if not token.startswith(prefix + "{") or not token.endswith("}"):
+        raise ParseError(line, f"expected {prefix}{{...}}, got {token!r}")
+    body = token[len(prefix) + 1:-1]
+    if not body:
+        return frozenset()
+    names = body.split(",")
+    for name in names:
+        if name not in graph:
+            raise ParseError(line, f"player {name!r} is not in the graph")
+    return frozenset(names)
+
+
+def _parse_premise(token: str, line: int) -> int:
+    index = _integer(token, line)
+    if index is None or index < 1:
+        raise ParseError(line, f"expected a step index, got {token!r}")
+    return index - 1
+
+
+def parse_derivation(text: str, graph: DependencyGraph) -> Derivation:
+    steps: list[Step] = []
+    for number, content in _logical_lines(text):
+        head, bracket, tail = content.partition("[")
+        if not bracket or not tail.rstrip().endswith("]"):
+            raise ParseError(number, "expected '<index>. <atom> [<rule> ...]'")
+        head = head.strip()
+        rule_text = tail.rstrip()[:-1].strip()
+        index_text, dot, atom_text = head.partition(".")
+        index = _integer(index_text, number) if dot else None
+        if index is None:
+            raise ParseError(number, "step must start with '<index>.'")
+        if index != len(steps) + 1:
+            raise ParseError(number, f"step numbers must be sequential, "
+                                     f"expected {len(steps) + 1}")
+        try:
+            atom = parse_atom(atom_text.strip(), graph)
+        except ParseError as exc:
+            raise ParseError(number, exc.reason) from None
+        tokens = rule_text.split()
+        if not tokens:
+            raise ParseError(number, "missing rule name")
+        name, args = tokens[0], tokens[1:]
+        if name == "Hypothesis" and not args:
+            rule = ByHypothesis()
+        elif name == "Reflexivity" and not args:
+            rule = Reflexivity()
+        elif name == "Augmentation" and len(args) == 2:
+            rule = Augmentation(_parse_premise(args[0], number),
+                                _parse_braced_set(args[1], "C=", number, graph))
+        elif name == "Transitivity" and len(args) == 2:
+            rule = Transitivity(_parse_premise(args[0], number),
+                                _parse_premise(args[1], number))
+        elif name == "Contiguity" and len(args) == 3:
+            cut_text = args[1]
+            if not cut_text.startswith("cut=") or "|" not in cut_text:
+                raise ParseError(number, f"expected cut={{U}}|{{W}}, got {cut_text!r}")
+            left_text, _, right_text = cut_text[4:].partition("|")
+            rule = Contiguity(
+                _parse_premise(args[0], number),
+                Cut(_parse_braced_set(left_text, "", number, graph),
+                    _parse_braced_set(right_text, "", number, graph)),
+                _parse_braced_set(args[2], "A=", number, graph))
+        elif name == "LeftMonotonicity" and len(args) == 2:
+            rule = LeftMonotonicity(_parse_premise(args[0], number),
+                                    _parse_braced_set(args[1], "add=", number, graph))
+        else:
+            raise ParseError(number, f"malformed rule {rule_text!r}")
+        steps.append(Step(atom, rule))
+    if not steps:
+        raise ParseError(1, "empty derivation")
+    return Derivation(tuple(steps))

@@ -74,8 +74,6 @@ from .core import (
     PlayerSet,
     ResourceLimitError,
 )
-from . import parser as _parser
-from .parser import ParseError, format_player_set, parse_atom
 
 __all__ = [
     "Augmentation",
@@ -93,8 +91,6 @@ __all__ = [
     "check_derivation",
     "derive_tree",
     "derives",
-    "parse_derivation",
-    "print_derivation",
     "saturate",
     "sparse",
     "sparse_set_principle",
@@ -623,126 +619,3 @@ def sparse_set_principle(graph: DependencyGraph,
     hypotheses = Hypotheses.of(
         Atom(everyone - {w}, frozenset({w})) for w in graph.sorted_players(members))
     return derive_tree(graph, hypotheses, everyone - members, members)
-
-
-# --- serialization ----------------------------------------------------------
-#
-# One step per line:
-#
-#   <index>. <atom> [<Rule> <args>]
-#
-# where <index> counts from 1 in order, <atom> uses the formula grammar,
-# premise arguments are step indices, and set arguments are braced:
-#
-#   1. a |> d [Hypothesis]
-#   2. b,c |> d [Contiguity 1 cut={a,b}|{c,d} A={a}]
-#
-# Rules: Hypothesis | Reflexivity | Augmentation <p> C={..} |
-#        Transitivity <p> <q> | Contiguity <p> cut={U}|{W} A={A} |
-#        LeftMonotonicity <p> add={..}
-
-
-def print_derivation(derivation: Derivation, graph: DependencyGraph) -> str:
-    lines = []
-    for i, step in enumerate(derivation.steps):
-        atom = _parser.print_formula(step.atom, graph)
-        rule = step.rule
-        if isinstance(rule, ByHypothesis):
-            text = "Hypothesis"
-        elif isinstance(rule, Reflexivity):
-            text = "Reflexivity"
-        elif isinstance(rule, Augmentation):
-            text = f"Augmentation {rule.premise + 1} C={format_player_set(graph, rule.added, braced=True)}"
-        elif isinstance(rule, Transitivity):
-            text = f"Transitivity {rule.first + 1} {rule.second + 1}"
-        elif isinstance(rule, Contiguity):
-            left = format_player_set(graph, rule.cut.left, braced=True)
-            right = format_player_set(graph, rule.cut.right, braced=True)
-            part = format_player_set(graph, rule.separated, braced=True)
-            text = f"Contiguity {rule.premise + 1} cut={left}|{right} A={part}"
-        elif isinstance(rule, LeftMonotonicity):
-            text = f"LeftMonotonicity {rule.premise + 1} add={format_player_set(graph, rule.added, braced=True)}"
-        else:
-            raise InputError(f"unknown rule {rule!r}")
-        lines.append(f"{i + 1}. {atom} [{text}]")
-    return "\n".join(lines) + "\n"
-
-
-def _parse_braced_set(token: str, prefix: str, line: int,
-                      graph: DependencyGraph) -> PlayerSet:
-    if not token.startswith(prefix + "{") or not token.endswith("}"):
-        raise ParseError(line, f"expected {prefix}{{...}}, got {token!r}")
-    body = token[len(prefix) + 1:-1]
-    if not body:
-        return frozenset()
-    names = body.split(",")
-    for name in names:
-        if name not in graph:
-            raise ParseError(line, f"player {name!r} is not in the graph")
-    return frozenset(names)
-
-
-def _is_index(token: str) -> bool:
-    """ASCII digits only: str.isdigit also accepts characters such as '²'
-    that int() rejects."""
-    return token.isascii() and token.isdigit()
-
-
-def _parse_premise(token: str, line: int) -> int:
-    if not _is_index(token) or int(token) < 1:
-        raise ParseError(line, f"expected a step index, got {token!r}")
-    return int(token) - 1
-
-
-def parse_derivation(text: str, graph: DependencyGraph) -> Derivation:
-    steps: list[Step] = []
-    for number, content in _parser._logical_lines(text):
-        head, bracket, tail = content.partition("[")
-        if not bracket or not tail.rstrip().endswith("]"):
-            raise ParseError(number, "expected '<index>. <atom> [<rule> ...]'")
-        head = head.strip()
-        rule_text = tail.rstrip()[:-1].strip()
-        index_text, dot, atom_text = head.partition(".")
-        if not dot or not _is_index(index_text):
-            raise ParseError(number, "step must start with '<index>.'")
-        if int(index_text) != len(steps) + 1:
-            raise ParseError(number, f"step numbers must be sequential, "
-                                     f"expected {len(steps) + 1}")
-        try:
-            atom = parse_atom(atom_text.strip(), graph)
-        except ParseError as exc:
-            raise ParseError(number, exc.reason) from None
-        tokens = rule_text.split()
-        if not tokens:
-            raise ParseError(number, "missing rule name")
-        name, args = tokens[0], tokens[1:]
-        rule: Justification
-        if name == "Hypothesis" and not args:
-            rule = ByHypothesis()
-        elif name == "Reflexivity" and not args:
-            rule = Reflexivity()
-        elif name == "Augmentation" and len(args) == 2:
-            rule = Augmentation(_parse_premise(args[0], number),
-                                _parse_braced_set(args[1], "C=", number, graph))
-        elif name == "Transitivity" and len(args) == 2:
-            rule = Transitivity(_parse_premise(args[0], number),
-                                _parse_premise(args[1], number))
-        elif name == "Contiguity" and len(args) == 3:
-            cut_text = args[1]
-            if not cut_text.startswith("cut=") or "|" not in cut_text:
-                raise ParseError(number, f"expected cut={{U}}|{{W}}, got {cut_text!r}")
-            left_text, _, right_text = cut_text[4:].partition("|")
-            rule = Contiguity(
-                _parse_premise(args[0], number),
-                Cut(_parse_braced_set(left_text, "", number, graph),
-                    _parse_braced_set(right_text, "", number, graph)),
-                _parse_braced_set(args[2], "A=", number, graph))
-        elif name == "LeftMonotonicity" and len(args) == 2:
-            rule = LeftMonotonicity(_parse_premise(args[0], number),
-                                    _parse_braced_set(args[1], "add=", number, graph))
-        else:
-            raise ParseError(number, f"malformed rule {rule_text!r}")
-        steps.append(Step(atom, rule))
-    if not steps:
-        raise ParseError(1, "empty derivation")
-    return Derivation(tuple(steps))

@@ -45,7 +45,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
@@ -59,9 +58,11 @@ from .core import (
     Formula,
     Game,
     InputError,
+    ResourceLimitError,
     check_formula_scope,
 )
-from .equilibrium import check_profile_cap, index_equilibria
+from .equilibrium import DEFAULT_PROFILE_CAP, check_profile_cap, index_equilibria
+from .parser import _mean_mod_modulus
 from .prover import Hypotheses, saturate
 from .semantics import constant_within_groups, evaluate
 
@@ -135,7 +136,7 @@ class SearchBounds:
 
     max_strategies: int = 3
     payoff_values: tuple[Fraction, ...] = (Fraction(0), Fraction(1))
-    max_profiles: int = 10_000_000
+    max_profiles: int = DEFAULT_PROFILE_CAP
     seed: int = 0
     mode: str = "random"
     sample_count: int = 4000
@@ -181,106 +182,77 @@ def builtin_graph(name: str) -> DependencyGraph:
                               [tuple(e.split("-")) for e in edges])
 
 
-def _full_table(game_strategies, graph, player, reward):
-    local = graph.local_order(player)
-    table = {}
-    for key in itertools.product(*(game_strategies[q] for q in local)):
-        table[key] = Fraction(reward(dict(zip(local, key))))
-    return table
+def _builtin(graph_name: str, strategies: dict, rewards: dict) -> Game:
+    """A built-in game on `builtin_graph(graph_name)`.
+
+    `rewards` maps a player to a test of its local assignment (a dict from
+    player to label): the player's table is 1 where it passes and 0 where it
+    fails.  A player without a reward has an empty table, so payoff 0.
+    """
+    graph = builtin_graph(graph_name)
+    payoffs = {}
+    for player in graph.players:
+        reward = rewards.get(player)
+        local = graph.local_order(player)
+        payoffs[player] = {} if reward is None else {
+            key: Fraction(reward(dict(zip(local, key))))
+            for key in itertools.product(*(strategies[q] for q in local))}
+    return Game.of(graph, strategies, payoffs)
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _coordination() -> Game:
-    graph = builtin_graph("pair")
-    strategies = {"a": ("a1", "a2"), "b": ("b1", "b2")}
-    matched = lambda s: s["a"][1] == s["b"][1]
-    payoffs = {p: _full_table(strategies, graph, p, matched) for p in graph.players}
-    return Game.of(graph, strategies, payoffs)
-
-
-def _table2() -> Game:
-    graph = builtin_graph("pair")
-    strategies = {"a": ("a1", "a2", "a3"), "b": ("b1", "b2")}
-    # row player's a2 pairs with b2, a1 and a3 both pair with b1
-    matched = lambda s: s["b"] == ("b2" if s["a"] == "a2" else "b1")
-    payoffs = {p: _full_table(strategies, graph, p, matched) for p in graph.players}
-    return Game.of(graph, strategies, payoffs)
-
-
-def _parity() -> Game:
-    graph = builtin_graph("triangle")
-    strategies = {p: ("0", "1") for p in graph.players}
-    even = lambda s: sum(int(x) for x in s.values()) % 2 == 0
-    payoffs = {p: _full_table(strategies, graph, p, even) for p in graph.players}
-    return Game.of(graph, strategies, payoffs)
-
-
-def _consensus() -> Game:
-    graph = builtin_graph("triangle")
-    strategies = {p: ("0", "1") for p in graph.players}
-    unanimous = lambda s: len(set(s.values())) == 1
-    payoffs = {p: _full_table(strategies, graph, p, unanimous) for p in graph.players}
-    return Game.of(graph, strategies, payoffs)
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def _gamma1_mean_mod(p: int) -> Game:
+    if p ** 4 > DEFAULT_PROFILE_CAP:
+        raise ResourceLimitError(f"gamma1_mean_mod({p}) has p^4 profiles, exceeding "
+                                 f"the cap of {DEFAULT_PROFILE_CAP}")
     if not _is_prime(p):
         raise InputError(f"modulus {p} is not prime")
-    graph = builtin_graph("gamma1")
     labels = tuple(str(i) for i in range(p))
-    strategies = {v: labels for v in graph.players}
     # b and c are rewarded iff their choice solves the local linear relation;
-    # a and d have constant payoff 0 (empty tables, entries default to 0)
-    on_mean_b = lambda s: (2 * int(s["b"]) - int(s["a"]) - int(s["c"])) % p == 0
-    on_mean_c = lambda s: (2 * int(s["c"]) - int(s["b"]) - int(s["d"])) % p == 0
-    payoffs = {"a": {}, "d": {},
-               "b": _full_table(strategies, graph, "b", on_mean_b),
-               "c": _full_table(strategies, graph, "c", on_mean_c)}
-    return Game.of(graph, strategies, payoffs)
+    # a and d have constant payoff 0
+    return _builtin("gamma1", dict.fromkeys("abcd", labels), {
+        "b": lambda s: (2 * int(s["b"]) - int(s["a"]) - int(s["c"])) % p == 0,
+        "c": lambda s: (2 * int(s["c"]) - int(s["b"]) - int(s["d"])) % p == 0})
 
 
 _RPS_BEATS = {("rock", "scissors"), ("scissors", "paper"), ("paper", "rock")}
 
-
-def _gamma2_rps() -> Game:
-    graph = builtin_graph("gamma2")
-    strategies = {v: ("rock", "paper", "scissors") for v in graph.players}
-    b_wins = lambda s: s["a"] != s["d"] and (s["b"], s["c"]) in _RPS_BEATS
-    c_wins = lambda s: s["a"] != s["d"] and (s["c"], s["b"]) in _RPS_BEATS
-    payoffs = {"a": {}, "d": {},
-               "b": _full_table(strategies, graph, "b", b_wins),
-               "c": _full_table(strategies, graph, "c", c_wins)}
-    return Game.of(graph, strategies, payoffs)
-
-
-_MEAN_MOD_RE = re.compile(r"gamma1_mean_mod\((\d+)\)\Z", re.ASCII)
+_BUILTIN_GAMES = {
+    "coordination": lambda: _builtin(
+        "pair", {"a": ("a1", "a2"), "b": ("b1", "b2")},
+        dict.fromkeys("ab", lambda s: s["a"][1] == s["b"][1])),
+    # row player's a2 pairs with b2, a1 and a3 both pair with b1
+    "table2": lambda: _builtin(
+        "pair", {"a": ("a1", "a2", "a3"), "b": ("b1", "b2")},
+        dict.fromkeys("ab", lambda s: s["b"] == ("b2" if s["a"] == "a2" else "b1"))),
+    "parity": lambda: _builtin(
+        "triangle", dict.fromkeys("abc", ("0", "1")),
+        dict.fromkeys("abc", lambda s: sum(int(x) for x in s.values()) % 2 == 0)),
+    "consensus": lambda: _builtin(
+        "triangle", dict.fromkeys("abc", ("0", "1")),
+        dict.fromkeys("abc", lambda s: len(set(s.values())) == 1)),
+    "gamma2_rps": lambda: _builtin(
+        "gamma2", dict.fromkeys("abcd", ("rock", "paper", "scissors")),
+        {"b": lambda s: s["a"] != s["d"] and (s["b"], s["c"]) in _RPS_BEATS,
+         "c": lambda s: s["a"] != s["d"] and (s["c"], s["b"]) in _RPS_BEATS}),
+}
 
 
 def builtin_game(name: str) -> Game:
     """One of the named example games.
 
     Names: coordination, table2, parity, consensus, gamma1_mean_mod(p) for a
-    prime p, gamma2_rps.
+    prime p with p^4 at most the enumeration cap (so p <= 53), gamma2_rps.
     """
-    fixed = {"coordination": _coordination, "table2": _table2,
-             "parity": _parity, "consensus": _consensus,
-             "gamma2_rps": _gamma2_rps}
-    if name in fixed:
-        return fixed[name]()
-    match = _MEAN_MOD_RE.match(name)
-    if match:
-        return _gamma1_mean_mod(int(match.group(1)))
-    raise InputError(f"unknown built-in game {name!r}")
+    if name in _BUILTIN_GAMES:
+        return _BUILTIN_GAMES[name]()
+    p = _mean_mod_modulus(name)
+    if p is None:
+        raise InputError(f"unknown built-in game {name!r}")
+    return _gamma1_mean_mod(p)
 
 
 # --- random and systematic generation ---------------------------------------

@@ -13,27 +13,31 @@ systematic order is built as a `Game` and judged with the public `holds` and
 `determined_players`.  They share the public semantics with the search, not
 its generation, budgeting or lazy evaluation.
 
-The parser oracle is the per-line game parser: every check of every payoff
-line runs on every line.  It shares the graph front end and the rational
-and assignment syntax with `parse_game`, not its assignment lookup.
+The parser oracles are the two-pass graph and game parsers: a list of
+logical lines, a graph pass that sets the strategies and payoff lines
+aside, a pass over those, and every check of every payoff line on every
+line.  They keep their own copy of that front end and of the assignment
+syntax; they share only `parse_rational` and the error types with
+`parser`, not its one-pass reader or its assignment lookup.
 """
 
+import re
 from collections import defaultdict, deque
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 
-from gamedep.core import Atom, DependencyGraph, Game, check_formula_scope, check_label
-from gamedep.parser import (
-    _ASSIGNMENT_RE,
-    LocalityError,
-    ParseError,
-    _checked,
-    _logical_lines,
-    _parse_graph_lines,
-    parse_rational,
+from gamedep.core import (
+    Atom,
+    DependencyGraph,
+    Game,
+    InputError,
+    check_formula_scope,
+    check_label,
+    check_player_name,
 )
+from gamedep.parser import LocalityError, ParseError, parse_rational
 from gamedep.prover import Hypotheses, saturate
 from gamedep.search import FuzzReport, FuzzViolation, NoneWithinBounds
 from gamedep.semantics import determined_players, holds
@@ -308,6 +312,79 @@ def fuzz_by_games(graph, hypotheses, bounds, closure=saturate) -> FuzzReport:
             if not closed <= determined:
                 violations.append(FuzzViolation(index, Atom(lhs, closed - determined), game))
     return FuzzReport(graph, bounds.sample_count, satisfied, tuple(violations))
+
+
+def _logical_lines(text: str) -> list[tuple[int, str]]:
+    lines = []
+    for number, raw in enumerate(text.split("\n"), 1):
+        content = raw.split("#", 1)[0].strip()
+        if content:
+            lines.append((number, content))
+    return lines
+
+
+def _checked(line: int, check, value: str) -> str:
+    try:
+        return check(value)
+    except InputError as exc:
+        raise ParseError(line, str(exc)) from None
+
+
+def _parse_graph_lines(lines, extra_directives=()):
+    """The graph pass: (players, [(line, edge)]) plus the lines of the
+    `extra_directives`, set aside as (line, tokens) when any are given."""
+    if not lines:
+        raise ParseError(1, "empty document: expected a players line")
+    number, content = lines[0]
+    tokens = content.split()
+    if tokens[0] != "players":
+        raise ParseError(number, f"expected a players line first, got {tokens[0]!r}")
+    if len(tokens) < 2:
+        raise ParseError(number, "players line declares no players")
+    players: dict[str, None] = {}
+    for name in tokens[1:]:
+        _checked(number, check_player_name, name)
+        if name in players:
+            raise ParseError(number, f"duplicate player {name!r}")
+        players[name] = None
+    edges: list[tuple[int, tuple[str, str]]] = []
+    rest: list[tuple[int, list[str]]] = []
+    seen_pairs = set()
+    for number, content in lines[1:]:
+        tokens = content.split()
+        directive = tokens[0]
+        if directive == "players":
+            raise ParseError(number, "duplicate players line")
+        if directive == "edge":
+            if len(tokens) != 3:
+                raise ParseError(number, "edge line expects exactly two players")
+            u, v = tokens[1], tokens[2]
+            for name in (u, v):
+                if name not in players:
+                    raise ParseError(number, f"edge endpoint {name!r} is not a declared player")
+            if u == v:
+                raise ParseError(number, f"loop edge {u} {v} is not allowed")
+            pair = frozenset((u, v))
+            if pair in seen_pairs:
+                raise ParseError(number, f"duplicate edge {u} {v}")
+            seen_pairs.add(pair)
+            edges.append((number, (u, v)))
+        elif directive in extra_directives:
+            rest.append((number, tokens))
+        else:
+            raise ParseError(number, f"unknown directive {directive!r}")
+    if extra_directives:
+        return list(players), edges, rest
+    return list(players), edges
+
+
+_ASSIGNMENT_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)=([A-Za-z0-9_]+)\Z")
+
+
+def parse_graph_by_lines(text: str) -> DependencyGraph:
+    """`parser.parse_graph` as two passes: logical lines, then the graph pass."""
+    players, edges = _parse_graph_lines(_logical_lines(text))
+    return DependencyGraph.of(players, [e for _, e in edges])
 
 
 def parse_game_by_lines(text: str) -> Game:

@@ -302,6 +302,68 @@ class TestFuzzSoundness:
         assert "violations: 0" in capsys.readouterr().out
 
 
+# Python refuses to convert longer digit strings to int (0: no limit).
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_limit = pytest.mark.skipif(INT_DIGITS == 0, reason="no int conversion limit")
+
+
+@needs_int_limit
+class TestOverlongNumbers:
+    """A number of more digits than Python converts is a located error,
+    exit 2, whose message gives the digit count instead of the digits."""
+
+    TOO_LONG = "9" * (INT_DIGITS + 1)
+    REASON = f"number of {INT_DIGITS + 1} digits exceeds the limit of {INT_DIGITS}"
+
+    @pytest.fixture
+    def overlong_game(self, tmp_path):
+        path = tmp_path / "overlong.txt"
+        path.write_text(COORDINATION_DOC.replace("payoff b a=a2 b=b2 1",
+                                                 f"payoff b a=a2 b=b2 -1/{self.TOO_LONG}"))
+        return str(path)
+
+    @pytest.mark.parametrize("command", [["ne"], ["check", "a |> b"], ["validate"]],
+                             ids=["ne", "check", "validate"])
+    def test_payoff_value(self, overlong_game, command, capsys):
+        assert main([command[0], overlong_game, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: line 12: {self.REASON}\n")
+
+    def test_longest_convertible_payoff_is_read(self, tmp_path, capsys):
+        path = tmp_path / "long.txt"
+        path.write_text(COORDINATION_DOC.replace("payoff b a=a2 b=b2 1",
+                                                 "payoff b a=a2 b=b2 " + "9" * INT_DIGITS))
+        assert main(["ne", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("total: 2\n")
+
+    def test_refute_values(self, path_file, capsys):
+        assert main(["refute", path_file, "a |> a", "--values", f"0,{self.TOO_LONG}"]) == 2
+        assert capsys.readouterr().err == f"error: --values: {self.REASON}\n"
+
+    @pytest.mark.parametrize("text, line", [
+        ("{n}. a |> d [Hypothesis]\n", 1),
+        ("1. a |> d [Hypothesis]\n2. a,b |> d [LeftMonotonicity {n} add={{b}}]\n", 2),
+    ], ids=["step-number", "premise"])
+    def test_prove_check(self, path_file, tmp_path, capsys, text, line):
+        proof = tmp_path / "proof.txt"
+        proof.write_text(text.format(n=self.TOO_LONG))
+        code = main(["prove-check", path_file, str(proof), "--assume", "a |> d"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: line {line}: {self.REASON}\n"
+
+
+class TestNonUtf8Files:
+    @pytest.mark.parametrize("command", [["ne"], ["prove", "a |> a"]], ids=["ne", "prove"])
+    def test_is_a_read_error(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"players a\xff\n")
+        assert main([command[0], str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot read {path}: 'utf-8' codec can't decode "
+                                f"byte 0xff in position 9: invalid start byte\n")
+
+
 class TestHarness:
     def test_subcommand_is_required(self):
         with pytest.raises(SystemExit) as exc:

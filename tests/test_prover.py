@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gamedep.core import Atom, Cut, DependencyGraph, InputError, ResourceLimitError
-from gamedep.parser import ParseError, parse_atom
+from gamedep.parser import ParseError, parse_atom, parse_derivation, print_derivation
 from gamedep.prover import (
     MAX_SATURATION_VERTICES,
     Augmentation,
@@ -25,8 +25,6 @@ from gamedep.prover import (
     check_derivation,
     derive_tree,
     derives,
-    parse_derivation,
-    print_derivation,
     saturate,
     sparse,
     sparse_set_principle,

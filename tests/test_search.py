@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gamedep.search
-from gamedep.cli import main
+from gamedep.cli import build_parser, main
 from gamedep.core import (
     FALSUM,
     Atom,
@@ -21,8 +22,8 @@ from gamedep.core import (
     InputError,
     ResourceLimitError,
 )
-from gamedep.equilibrium import equilibria, is_equilibrium
-from gamedep.parser import parse_formula, print_game, print_graph
+from gamedep.equilibrium import DEFAULT_PROFILE_CAP, equilibria, is_equilibrium
+from gamedep.parser import ParseError, parse_formula, print_game, print_graph
 from gamedep.prover import Hypotheses, saturate
 from gamedep.search import (
     _GOLDEN,
@@ -199,6 +200,32 @@ class TestBuiltinGames:
             builtin_game("gamma1_mean_mod(4)")
         with pytest.raises(InputError, match="modulus 1 is not prime"):
             builtin_game("gamma1_mean_mod(1)")
+
+    @pytest.mark.parametrize("p", [57, 59, 10**14 + 31])
+    def test_mean_mod_past_the_profile_cap_is_refused_unbuilt(self, p):
+        """p^4 > 10^7 from p = 57 on: refused before the primality test,
+        so a composite 57 and a prime of 15 digits are refused promptly."""
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=r"has p\^4 profiles, exceeding the cap"):
+            builtin_game(f"gamma1_mean_mod({p})")
+        assert time.perf_counter() - started < 0.5
+
+    def test_mean_mod_below_the_profile_cap_reaches_the_primality_test(self):
+        assert 56 ** 4 <= DEFAULT_PROFILE_CAP < 57 ** 4
+        with pytest.raises(InputError, match="modulus 56 is not prime"):
+            builtin_game("gamma1_mean_mod(56)")
+
+    def test_mean_mod_modulus_too_long_to_convert_is_a_parse_error(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("no int conversion limit")
+        with pytest.raises(ParseError, match=f"number of {limit + 1} digits"):
+            builtin_game(f"gamma1_mean_mod({'7' * (limit + 1)})")
+
+    def test_profile_budget_defaults_to_the_enumeration_cap(self):
+        assert SearchBounds().max_profiles == DEFAULT_PROFILE_CAP
+        args = build_parser().parse_args(["refute", "graph.txt", "a |> a"])
+        assert args.max_profiles == DEFAULT_PROFILE_CAP
 
     def test_matching_game_equilibria_need_equal_outer_players(self):
         game = builtin_game("gamma2_rps")
