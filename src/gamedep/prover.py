@@ -41,18 +41,27 @@ A Contiguity sweep reads the cut-pair table.  It runs only after the chain
 sweeps reached their fixpoint, where cl is monotone: X inside X' lies
 inside cl(X'), so a chain sweep would add cl(X) to cl(X'), and at the
 fixpoint it adds nothing.  So for each vertex v the sources
-{X : v in cl(X)} form an up-set.  For a cut (U, W) with v in W, the distinct parts X minus U
-kept by those sources are therefore exactly the Y inside W with v in
-cl(U | Y).  The table lists every pair (U, Y inside W), 3^n in all, with
-key U | Y, target border(U) | border(W) | Y and mask W, and the sweep ORs
-cl(key) & W into the row of each target.  That is rule (iii) for every
-source, every cut and every c at once, exactly.
+{X : v in cl(X)} form an up-set.  For a cut (U, W) with v in W, the
+distinct parts X minus U kept by those sources are therefore exactly the
+Y inside W with v in cl(U | Y), and rule (iii) sends each to the row
+border(U) | border(W) | Y.
+
+For a fixed U, the parts Y sent to one target T differ only in how much of
+border(W) they hold, and the largest of them, T & W, holds all of it.
+cl(U | Y) lies inside cl(U | (T & W)) by monotonicity, so that one pair
+adds all the others add.  The table therefore lists only the separating
+pairs: (U, Y inside W) with Y containing border(W), that is, with no edge
+from U to Z = W minus Y.  Each has key U | Y, target border(U) | Y and
+mask W, and the sweep ORs cl(key) & W into the row of each target.  That
+is rule (iii) for every source, every cut and every c at once, exactly.
+How many pairs there are depends on the edges: 39,203 on a 12-cycle,
+8,191 on the complete graph of 12, and all 3^n only on an edgeless graph.
 
 The cuts enter through one cut table, built from the graph once per
-saturation from one array of border(U) | border(W): the pair table above,
-and for each vertex v every left side U with v outside it, in ascending
-order, with its border mask.  The tree builder searches row v for the cut
-that produced a fact.
+saturation: one array of border(U) | border(W) for every left side U, and
+the pair table above, read from it.  The tree builder keeps the array, and
+for a fact about v searches the left sides U with v outside it, in
+ascending order, for the cut that produced the fact.
 
 Each fact records the sweep at which it first appeared, which lets
 `derive_tree` rebuild an explicit, independently checkable derivation by
@@ -190,45 +199,59 @@ def _check_size(graph: DependencyGraph) -> int:
     return n
 
 
-def _cut_table(graph: DependencyGraph) -> tuple[list[tuple[np.ndarray, np.ndarray]],
+def _cut_table(graph: DependencyGraph) -> tuple[np.ndarray,
                                                 tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The cut rows and the cut-pair table, both from one border array.
+    """The cut borders and the separating cut pairs, from one border array.
 
-    Rows: for each vertex v, the left sides U with v not in U, ascending,
-    and the mask of border(U) | border(W) for each, where W is the
-    complement of U.  Pairs: for each U and each Y inside W (3^n pairs, each
-    once), the source key U | Y, the target border(U) | border(W) | Y and
-    the mask W.
+    Borders: for each left side U, the mask of border(U) | border(W), where
+    W is the complement of U.  Pairs: each (U, Y inside W) such that no
+    edge joins U to Z = W minus Y, that is, with Y containing border(W);
+    each once, with the source key U | Y, the target border(U) | Y and the
+    mask W.  A Y that misses part of border(W) is left out: the pair with Y
+    and all of border(W) has the same target and, once cl is monotone as it
+    is at every Contiguity sweep, a key whose closure holds more.
+
+    The pairs are built one vertex at a time: a vertex joins U only if none
+    of its earlier neighbours is in Z, and Z only if none is in U, so the
+    cost follows the number of pairs kept.  Z is read off the bits already
+    placed, and U and Y are int32, so the edgeless worst case, which keeps
+    all 3^n pairs, costs less memory than int64 pairs would.
     """
     n = len(graph.players)
     size = 1 << n
     ids = np.arange(size, dtype=np.int64)
     border = np.zeros(size, dtype=np.int64)
+    earlier = []
     for v, name in enumerate(graph.players):
         adj = graph.mask_of(graph.neighbors(name))
         inside = (ids >> v & 1) == 1
         escaping = (~ids & adj) != 0
         border |= np.where(inside & escaping, np.int64(1 << v), np.int64(0))
+        earlier.append(adj & ((1 << v) - 1))
     full = size - 1
-    base = border | border[full ^ ids]
-    rows = []
+    borders = border | border[full ^ ids]
+    us = np.zeros(1, dtype=np.int32)
+    ys = np.zeros(1, dtype=np.int32)
     for v in range(n):
-        us = ids[(ids >> v & 1) == 0]
-        rows.append((us, base[us]))
-    us = np.zeros(1, dtype=np.int64)
-    ys = np.zeros(1, dtype=np.int64)
-    for v in range(n):
-        bit = np.int64(1 << v)
-        us = np.concatenate((us, us | bit, us))
-        ys = np.concatenate((ys, ys, ys | bit))
-    return rows, (us | ys, base[us] | ys, full ^ us)
+        bit = np.int32(1 << v)
+        adj = earlier[v]
+        if adj:
+            into_u = (~(us | ys) & adj) == 0
+            into_z = (us & adj) == 0
+            us = np.concatenate((us[into_u] | bit, us[into_z], us))
+            ys = np.concatenate((ys[into_u], ys[into_z], ys | bit))
+        else:
+            us = np.concatenate((us | bit, us, us))
+            ys = np.concatenate((ys, ys, ys | bit))
+    return borders, (us | ys, borders[us] | ys, full ^ us)
 
 
 @dataclass
 class ClosureTable:
     """Saturated closure of every vertex subset under the hypotheses.
 
-    `_cuts` holds the cut rows saturation built, kept for the tree builder.
+    `_borders` is the border array of the cut table saturation built, kept
+    for the tree builder.
     """
 
     graph: DependencyGraph
@@ -236,7 +259,7 @@ class ClosureTable:
     _cl: np.ndarray
     _wave: np.ndarray          # _wave[X, v]: sweep where v entered cl(X), -1 if never
     _kinds: tuple[str, ...]    # sweep kinds; index 0 is the seeding
-    _cuts: list[tuple[np.ndarray, np.ndarray]]
+    _borders: np.ndarray       # _borders[U]: border(U) | border(W), W the complement of U
 
     def closure_mask(self, lhs_mask: int) -> int:
         return int(self._cl[lhs_mask])
@@ -261,7 +284,7 @@ def saturate(graph: DependencyGraph,
 
     size = 1 << n
     identity = np.arange(size, dtype=np.int64)
-    cuts, (keys, targets, outside) = _cut_table(graph)
+    borders, (keys, targets, outside) = _cut_table(graph)
     cl = identity.copy()
     wave = np.full((size, n), -1, dtype=np.int16)
     for v in range(n):
@@ -307,7 +330,7 @@ def saturate(graph: DependencyGraph,
         if not progressed:
             break
 
-    return ClosureTable(graph, hypotheses, cl, wave, tuple(kinds), cuts)
+    return ClosureTable(graph, hypotheses, cl, wave, tuple(kinds), borders)
 
 
 def derives(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
@@ -400,7 +423,8 @@ class _TreeBuilder:
         column = self.table._wave[:, v]
         sources = [int(s) for s in np.nonzero((column >= 0) & (column < sweep))[0]]
         sources.sort(key=lambda m: (m.bit_count(), m))
-        us, base = self.table._cuts[v]
+        us = self.ids[(self.ids >> v & 1) == 0]
+        base = self.table._borders[us]
         for source in sources:
             matches = us[(base | (source & ~us)) == x]
             if matches.size:

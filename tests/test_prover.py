@@ -115,27 +115,25 @@ class TestSaturate:
         for graph in graphs:
             n = len(graph.players)
             full = (1 << n) - 1
+            border = [graph.mask_of(graph.border(graph.players_of_mask(u)))
+                      for u in range(1 << n)]
+            adjacent = [graph.mask_of(graph.neighbors(p)) for p in graph.players]
 
-            def cut_border(u):
-                left = graph.players_of_mask(u)
-                right = graph.complement(left)
-                return graph.mask_of(graph.border(left) | graph.border(right))
+            def separated(u, z):
+                return not any(adjacent[v] & z for v in range(n) if u >> v & 1)
 
-            rows, (keys, targets, outside) = _cut_table(graph)
-            assert len(rows) == n
-            for v, (us, borders) in enumerate(rows):
-                expected = [u for u in range(1 << n) if not u >> v & 1]
-                assert us.tolist() == expected
-                assert borders.tolist() == [cut_border(u) for u in expected]
-            # every (U, Y inside W) exactly once, with its key and target
-            assert len(keys) == len(targets) == len(outside) == 3 ** n
+            borders, (keys, targets, outside) = _cut_table(graph)
+            assert borders.tolist() == [border[u] | border[full ^ u] for u in range(1 << n)]
+            # every (U, Y inside W) with no edge from U to W minus Y exactly
+            # once, with its key and target
             seen = []
             for key, target, w in zip(keys.tolist(), targets.tolist(), outside.tolist()):
                 u, y = full ^ w, key & w
-                assert key == u | y and target == cut_border(u) | y
+                assert key == u | y and target == border[u] | y
                 seen.append((u, y))
             assert sorted(seen) == [
-                (u, y) for u in range(1 << n) for y in range(1 << n) if y & u == 0]
+                (u, y) for u in range(1 << n) for y in range(1 << n)
+                if y & u == 0 and separated(u, full ^ u ^ y)]
 
     def test_twelve_cycle_saturates_within_budget(self):
         graph = graph_of(CYCLE12)
@@ -144,6 +142,16 @@ class TestSaturate:
         elapsed = time.perf_counter() - started
         assert elapsed < 1.5, f"saturate took {elapsed:.2f}s (budget 1.5s)"
         assert table.closure({"a"}) == {"a", "c"}
+
+    def test_edgeless_twelve_vertices_saturate_within_budget(self):
+        # no edge separates anything, so every one of the 3^12 cut pairs is listed
+        names = [f"p{i}" for i in range(12)]
+        graph = DependencyGraph.of(names, [])
+        started = time.perf_counter()
+        table = saturate(graph, [Atom.of(["p0"], ["p4"]), Atom.of(["p4", "p7"], ["p9"])])
+        elapsed = time.perf_counter() - started
+        assert elapsed < 1.5, f"saturate took {elapsed:.2f}s (budget 1.5s)"
+        assert table.closure({"p0", "p7"}) == {"p0", "p4", "p7", "p9"}
 
     def test_size_guard(self):
         names = [f"p{i}" for i in range(MAX_SATURATION_VERTICES + 1)]
@@ -735,7 +743,14 @@ class TestSweepOracle:
         ("gamma5", []),
         ("gamma1", [("", "d")]),
         ("gamma4", [("a c", "a"), ("b c d", "c d")]),
+        (("a b c d e f g h", ""), [("a", "b"), ("c d", "e"), ("e", "a h")]),
+        (("a b c d e f g h", "a-b a-c a-d a-e a-f a-g a-h"), [("b", "c"), ("a c", "h")]),
+        (("a b c d e f g", " ".join(f"{u}-{v}" for u, v in itertools.combinations("abcdefg", 2))),
+         [("a", "b"), ("c d", "e")]),
+        (("a b c d e f g h", "a-b b-c c-d d-a e-f f-g g-h"), [("a", "e"), ("f", "c"), ("h", "b")]),
+        (("a b c d e f g h", "a-b b-c c-d d-e"), [("a", "f"), ("f", "e"), ("h", "g")]),
     ], ids=["one-vertex", "one-vertex-empty-lhs", "disconnected", "isolated-vertex",
-            "no-hypotheses", "empty-lhs", "rhs-inside-lhs"])
+            "no-hypotheses", "empty-lhs", "rhs-inside-lhs", "edgeless", "star", "complete",
+            "two-components", "isolated-vertices"])
     def test_matches_on_edge_cases(self, spec, hyps):
         assert_same_sweeps(graph_of(spec), [atom(lhs, rhs) for lhs, rhs in hyps])
