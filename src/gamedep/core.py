@@ -279,7 +279,8 @@ class Game:
         strategies = {p: tuple(labels) for p, labels in strategies.items()}
         tables: dict[str, dict[tuple[str, ...], Fraction]] = {}
         for p, table in (payoffs or {}).items():
-            entries = {tuple(key): Fraction(value) for key, value in table.items()}
+            entries = {tuple(key): value if type(value) is Fraction else Fraction(value)
+                       for key, value in table.items()}
             if entries:  # an empty table means constant 0, same as no table
                 tables[p] = entries
         return cls(graph, strategies, tables)

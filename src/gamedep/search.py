@@ -23,21 +23,25 @@ strategy-index tuples, comparing payoff values by their rank in
 `sorted(payoff_values)`.  A `Game` is built (`_build`) only for a game the
 search returns: the refuting game, or a fuzzing violation.
 
-Random mode judges most candidates in blocks.  The candidates of the stream
-are independent, so after a per-game prefix of `_PER_GAME_PREFIX`
-candidates, blocks of consecutive indices (doubling in size, at most
-`_BLOCK_ELEMENTS` padded elements) are drawn and judged as numpy arrays
-(`_BlockLayout`): every raw splitmix64 output at once, each player's table
-padded to `max_strategies` strategies per member, best responses by one
-max, equilibria as a mask over the padded profile grid, and each atom by
-grouping that mask on its lhs projection.  The budget is still checked per
-candidate in stream order, from the block's counts.  Candidates are judged
-per game instead when an output in their window was rejected, when the
-padded grid has more than `_GRID_PROFILES` profiles (past it the dense
-grid costs more than the sparse per-game join, and the profile cap cannot
-fire inside a block), and in systematic mode;
-`fuzz_soundness` re-judges per game a candidate in which a derived atom
-fails, so its report is built from the per-game semantics.
+Both modes judge most candidates in blocks (`_BlockLayout`): numpy arrays
+of raw outputs, one row per draw and one column per candidate, judged at
+once with each player's table padded to `max_strategies` strategies per
+member, best responses by one max, equilibria as a mask over the padded
+profile grid, and each atom by grouping that mask on its lhs projection.
+Random mode judges a per-game prefix of `_PER_GAME_PREFIX` candidates, then
+blocks of consecutive indices, their rows every raw splitmix64 output.
+Systematic mode judges consecutive assignment numbers of one count shape,
+its rows the counts and the digits of each number.  Blocks double in size
+up to `_BLOCK_ELEMENTS` padded elements, and the budget is still checked
+per candidate in order.  Candidates are judged per game instead when an
+output in their random window was rejected, and when the padded grid has
+more than `_GRID_PROFILES` profiles (past it the dense grid costs more than
+the sparse per-game join, and the profile cap cannot fire inside a block).
+
+`fuzz_soundness` judges a game on a cover of its derived goals
+(`_fuzz_goals`), exact because Augmentation is sound on every equilibrium
+set, and re-judges per game, against every goal, a candidate in which a
+cover goal fails, so its report is built from the per-game semantics.
 """
 
 from __future__ import annotations
@@ -182,6 +186,9 @@ def builtin_graph(name: str) -> DependencyGraph:
                               [tuple(e.split("-")) for e in edges])
 
 
+_REWARDS = (Fraction(0), Fraction(1))   # shared by every cell of the built-in games
+
+
 def _builtin(graph_name: str, strategies: dict, rewards: dict) -> Game:
     """A built-in game on `builtin_graph(graph_name)`.
 
@@ -195,7 +202,7 @@ def _builtin(graph_name: str, strategies: dict, rewards: dict) -> Game:
         reward = rewards.get(player)
         local = graph.local_order(player)
         payoffs[player] = {} if reward is None else {
-            key: Fraction(reward(dict(zip(local, key))))
+            key: _REWARDS[reward(dict(zip(local, key)))]
             for key in itertools.product(*(strategies[q] for q in local))}
     return Game.of(graph, strategies, payoffs)
 
@@ -353,7 +360,13 @@ def _rejection_limit(bound: int):
 
 
 class _BlockLayout:
-    """The index tables of one random search, shared by all its blocks.
+    """The index tables of one search, shared by all its blocks.
+
+    `judge` reads a block of raw outputs, `raw[draw, candidate]`: a
+    candidate's strategy counts and then its payoff cells in draw order, as
+    `_draw` reads them.  `random_block` fills it from splitmix64 states and
+    alone checks for rejected outputs; `systematic_block` fills it with the
+    counts of one shape and the digits of its assignment numbers.
 
     Block arrays run over the candidates on their last axis.  Each player's
     local table is padded to m = `max_strategies` strategies per member and
@@ -369,7 +382,8 @@ class _BlockLayout:
     `excess @ too_large` counts the strategies of a cell that its candidate
     does not have (a padded cell).  `gather[p, profile]` is player p's cell
     at each profile of the padded grid of m^n profiles (declaration order,
-    last player fastest).
+    last player fastest).  Fuzz blocks group only the cover of the derived
+    goals (`_fuzz_goals`): every goal holds where the cover holds.
     """
 
     def __init__(self, graph: DependencyGraph, bounds: SearchBounds, per_candidate: int):
@@ -422,19 +436,14 @@ class _BlockLayout:
         draws = n + sum(m ** len(graph.local_indices(p)) for p in graph.players)
         return cls(graph, bounds, max(m ** n, draws))
 
-    def block(self, seed: int, start: int, size: int):
-        """Candidates `start .. start+size-1` of the random stream with `seed`:
-        their strategy counts, whether each was rejected, and the equilibrium
-        mask, `mask[profile, candidate]` over the padded grid.
-
-        Draw j of candidate i comes from state `s_i + (j+1) * 0x9E3779B97F4A7C15`
-        (mod 2^64), so each raw output of the block is one array element.  A
-        candidate with an output at or above its rejection limit inside its
-        window draws differently, so its mask must not be used.
-        """
+    def judge(self, raw):
+        """The strategy counts `counts[player, candidate]` of a block and its
+        equilibrium mask, `mask[profile, candidate]` over the padded grid,
+        from the block's raw outputs: `raw[j, c]` is draw j of candidate c.
+        A count is its draw mod m, plus 1; a cell's value index is its draw
+        mod the number of payoff values."""
         n, m = self.n, self.m
-        index = np.arange(start + 1, start + size + 1, dtype=np.uint64)
-        raw = _mix(self.steps[:, None] + (np.uint64(seed) ^ (index * np.uint64(_GOLDEN))))
+        size = raw.shape[1]
         counts = (raw[:n] % np.uint64(m)).astype(np.intp) + 1
 
         local = np.vstack([counts, np.ones((1, size), np.intp)])[self.members]
@@ -449,14 +458,6 @@ class _BlockLayout:
         too_large = counts[:, None, :] <= np.arange(m)[:, None]
         padded = self.excess @ too_large.reshape(n * m, size) > 0
 
-        count_limit, cell_limit = self.limits
-        rejected = np.zeros(size, bool)
-        if count_limit is not None:
-            rejected |= (raw[:n] >= count_limit).any(axis=0)
-        if cell_limit is not None and (raw[n:] >= cell_limit).any():
-            window = np.arange(self.draws)[:, None] < starts[-1] + sizes[-1]
-            rejected |= ((raw >= cell_limit) & window)[n:].any(axis=0)
-
         # a padded cell may point past the block: it reads rank -1 instead
         value = raw.ravel().take(where, mode="clip")
         value %= np.uint64(len(self.ranks) - 1)
@@ -464,7 +465,48 @@ class _BlockLayout:
         value *= ~padded
         cells = self.ranks[value.view(np.int64)].reshape(m, self.rows, size)
         best = ((cells == cells.max(axis=0)) & (cells >= 0)).reshape(m * self.rows, size)
-        return counts.T.tolist(), rejected.tolist(), best[self.gather].all(axis=0)
+        return counts, best[self.gather].all(axis=0)
+
+    def random_block(self, seed: int, start: int, size: int):
+        """Candidates `start .. start+size-1` of the random stream with `seed`:
+        their strategy counts, whether each was rejected, and the mask.
+
+        Draw j of candidate i comes from state `s_i + (j+1) * 0x9E3779B97F4A7C15`
+        (mod 2^64), so each raw output of the block is one array element.  A
+        candidate with an output at or above its rejection limit inside its
+        window draws differently, so its mask must not be used.
+        """
+        n = self.n
+        index = np.arange(start + 1, start + size + 1, dtype=np.uint64)
+        raw = _mix(self.steps[:, None] + (np.uint64(seed) ^ (index * np.uint64(_GOLDEN))))
+        counts, mask = self.judge(raw)
+        count_limit, cell_limit = self.limits
+        rejected = np.zeros(size, bool)
+        if count_limit is not None:
+            rejected |= (raw[:n] >= count_limit).any(axis=0)
+        if cell_limit is not None and (raw[n:] >= cell_limit).any():
+            local = np.vstack([counts, np.ones((1, size), np.intp)])[self.members]
+            window = np.arange(self.draws)[:, None] < n + local.prod(axis=1).sum(axis=0)
+            rejected |= ((raw >= cell_limit) & window)[n:].any(axis=0)
+        return counts.T.tolist(), rejected.tolist(), mask
+
+    def systematic_block(self, counts, cells: int, start: int, size: int):
+        """The mask of assignment numbers `start .. start+size-1` of the shape
+        `counts` with `cells` payoff cells: row i of the raw block holds
+        `counts[i] - 1`, and row n + j digit j of the assignment number (base
+        V, the number of payoff values, most significant first), so a cell's
+        value index is its digit.  Digits whose place value exceeds the
+        block's last number are 0, and are not computed: every place value
+        computed is at most that number, so it fits a uint64."""
+        base = len(self.ranks) - 1
+        raw = np.zeros((self.draws, size), np.uint64)
+        raw[:self.n] = np.array(counts, np.uint64)[:, None] - np.uint64(1)
+        numbers = np.arange(size, dtype=np.uint64) + np.uint64(start)
+        last, place, row = start + size - 1, 1, self.n + cells - 1
+        while place <= last:
+            raw[row] = numbers // np.uint64(place) % np.uint64(base)
+            place, row = place * base, row - 1
+        return self.judge(raw)[1]
 
     def holds(self, mask, atom: Atom):
         """Per column of the equilibrium mask, whether `atom` holds: grouped
@@ -518,7 +560,7 @@ def _random_candidates(graph: DependencyGraph, bounds: SearchBounds, judge):
     start, size = prefix, _PER_GAME_PREFIX
     while start < bounds.sample_count:
         size = min(size, layout.max_block, bounds.sample_count - start)
-        counts, rejected, mask = layout.block(bounds.seed, start, size)
+        counts, rejected, mask = layout.random_block(bounds.seed, start, size)
         for index, count, redraw, verdict in zip(itertools.count(start), counts, rejected,
                                                  judge(layout, mask)):
             if redraw:
@@ -564,6 +606,54 @@ def _systematic_games(graph: DependencyGraph, bounds: SearchBounds) -> Iterator[
         yield _build(graph, bounds, counts, cells())
 
 
+def _assignment_cells(number: int, base: int, sizes) -> list:
+    """The cells of assignment `number` of a shape with tables of `sizes`
+    cells: its digits in base `base`, most significant first, split by table."""
+    digits = []
+    for _ in range(sum(sizes)):
+        number, digit = divmod(number, base)
+        digits.append(digit)
+    return _split(digits[::-1], sizes)
+
+
+def _systematic_candidates(graph: DependencyGraph, bounds: SearchBounds, judge):
+    """`(counts, cells, verdict)` in the canonical order of `_systematic_draws`.
+
+    Within a shape, assignment numbers 0 .. V^T - 1 (V payoff values, T
+    cells) are judged in blocks, and `verdict` is the candidate's entry of
+    `judge(layout, mask)`.  Block sizes double from `_PER_GAME_PREFIX` over
+    the whole walk, each block cut at the end of its shape, at the layout's
+    `max_block` and at the candidates the remaining profile budget admits.
+    The first candidate past the budget comes unjudged (verdict None), as
+    does every candidate of a graph that `_BlockLayout.of` leaves to
+    per-game judging.
+    """
+    layout = _BlockLayout.of(graph, bounds)
+    if layout is None:
+        for counts, cells in _systematic_draws(graph, bounds):
+            yield counts, cells, None
+        return
+    base = len(bounds.payoff_values)
+    budget = bounds.max_profiles
+    grow = _PER_GAME_PREFIX
+    for counts in _count_vectors(len(graph.players), bounds.max_strategies):
+        sizes = _table_sizes(graph, counts)
+        total, cost = base ** sum(sizes), math.prod(counts)
+        start = 0
+        while start < total:
+            size = min(grow, layout.max_block, total - start, budget // cost)
+            if size == 0:
+                yield counts, functools.partial(_assignment_cells, start, base, sizes), None
+                return
+            mask = layout.systematic_block(counts, sum(sizes), start, size)
+            for number, verdict in zip(itertools.count(start), judge(layout, mask)):
+                yield (counts, functools.partial(_assignment_cells, number, base, sizes),
+                       verdict)
+            budget -= size * cost
+            start += size
+            grow *= 2
+
+
 def _equilibria(graph: DependencyGraph, counts, cells, ranks):
     """Zero-argument function returning the equilibria of a draw as
     strategy-index tuples, enumerated on its first call.  The profile cap is
@@ -601,11 +691,9 @@ def find_counterexample(graph: DependencyGraph, formula: Formula,
     the seeded stream at indices 0..sample_count-1.
     """
     check_formula_scope(graph, formula)
-    if bounds.mode == "systematic":
-        source = ((counts, cells, None) for counts, cells in _systematic_draws(graph, bounds))
-    else:
-        source = _random_candidates(
-            graph, bounds, lambda layout, mask: layout.formula_holds(mask, formula).tolist())
+    candidates = _systematic_candidates if bounds.mode == "systematic" else _random_candidates
+    source = candidates(graph, bounds,
+                        lambda layout, mask: layout.formula_holds(mask, formula).tolist())
     ranks = _ranks(bounds.payoff_values)
     budget = bounds.max_profiles
     examined = 0
@@ -653,6 +741,29 @@ class FuzzReport:
         return "\n".join(lines) + "\n"
 
 
+def _fuzz_goals(graph: DependencyGraph, table) -> tuple[list[Atom], list[Atom]]:
+    """The goals `X |> cl(X)` of a closure table, one per X with cl(X) != X,
+    and their cover: the goals for which no x in X has
+    cl(X) <= X | cl(X - {x}).
+
+    Every goal holds in a game where the cover holds, by induction on |X|:
+    a goal outside the cover has an x with X - {x} |> cl(X - {x}) (a cover
+    goal, a smaller goal, or reflexive), which Augmentation, sound on every
+    equilibrium set, extends to X |> X | cl(X - {x}), a superset of cl(X).
+    """
+    n = len(graph.players)
+    closures = [table.closure_mask(x) for x in range(1 << n)]
+    goals, cover = [], []
+    for x, closed in enumerate(closures):
+        if closed == x:
+            continue
+        goal = Atom(graph.players_of_mask(x), graph.players_of_mask(closed))
+        goals.append(goal)
+        if all(closed & ~(x | closures[x & ~(1 << i)]) for i in range(n) if x >> i & 1):
+            cover.append(goal)
+    return goals, cover
+
+
 def fuzz_soundness(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
                    bounds: SearchBounds) -> FuzzReport:
     """Check derivable atoms against the equilibrium semantics on random games.
@@ -661,27 +772,25 @@ def fuzz_soundness(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
     prover derives from them must hold as well.  Closures that add nothing
     beyond their own left side are reflexive facts and cannot fail (a
     projection always determines itself), so only proper closures are tested.
+    A game is judged on the cover of those goals (`_fuzz_goals`), which
+    holds only where every goal does; every goal is grouped, and each
+    failing one reported, only in a game where a cover goal fails.
     """
     if not isinstance(hypotheses, Hypotheses):
         hypotheses = Hypotheses.of(hypotheses)
-    table = saturate(graph, hypotheses)
-    goals = []
-    for x in range(1 << len(graph.players)):
-        closed = table.closure_mask(x)
-        if closed != x:
-            goals.append(Atom(graph.players_of_mask(x), graph.players_of_mask(closed)))
+    goals, cover = _fuzz_goals(graph, saturate(graph, hypotheses))
 
     def judge(layout, mask):
         """False where a hypothesis fails, True where the hypotheses and every
-        goal hold, None (judge per game) where a goal fails.  Goals are
-        decided only on the candidates where the hypotheses hold."""
+        cover goal hold, None (judge per game) where a cover goal fails.
+        Goals are decided only on the candidates where the hypotheses hold."""
         assumed = np.ones(mask.shape[1], bool)
         for atom in hypotheses:
             assumed &= layout.holds(mask, atom)
         kept = np.flatnonzero(assumed)
         kept_mask = mask[:, kept]
         derived = np.ones(len(kept), bool)
-        for goal in goals:
+        for goal in cover:
             derived &= layout.holds(kept_mask, goal)
         verdicts = [False] * mask.shape[1]
         for column, holds in zip(kept.tolist(), derived.tolist()):
@@ -701,6 +810,8 @@ def fuzz_soundness(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
         if not all(evaluate(graph, found, atom) for atom in hypotheses):
             continue
         satisfied += 1
+        if all(evaluate(graph, found, goal) for goal in cover):
+            continue
         game = None
         for goal in goals:
             determined = constant_within_groups(graph, found, goal.lhs, graph.players)

@@ -164,6 +164,13 @@ class TestGame:
         assert game.payoffs["a"][("y", "x")] == Fraction(1, 2)
         assert isinstance(game.payoffs["a"][("x", "x")], Fraction)
 
+    def test_of_keeps_fraction_values_as_given(self):
+        half = Fraction(1, 2)
+        game = Game.of(builtin_graph("pair"), {"a": ("x", "y"), "b": ("x",)},
+                       {"a": {("x", "x"): half, ("y", "x"): 1}})
+        assert game.payoffs["a"][("x", "x")] is half
+        assert type(game.payoffs["a"][("y", "x")]) is Fraction
+
     def test_strategy_declarations_must_cover_players_exactly(self):
         graph = builtin_graph("pair")
         with pytest.raises(InputError, match="do not match"):

@@ -7,6 +7,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from gamedep.core import (
     Atom,
     DependencyGraph,
     Falsum,
+    Game,
     Implication,
     InputError,
     ResourceLimitError,
@@ -37,6 +39,7 @@ from gamedep.search import (
     _BlockLayout,
     _count_vectors,
     _draw,
+    _fuzz_goals,
     _stream,
     _systematic_games,
     builtin_game,
@@ -47,7 +50,7 @@ from gamedep.search import (
 )
 from gamedep.semantics import determined_players, holds
 
-from generators import graphs
+from generators import graphs, player_sets
 from oracles import (
     counterexample_by_games,
     fuzz_by_games,
@@ -188,6 +191,18 @@ class TestBuiltinGames:
     def test_mean_mod_equilibrium_counts(self, p, count):
         game = builtin_game(f"gamma1_mean_mod({p})")
         assert len(equilibria(game)) == count
+
+    def test_mean_mod_tables_are_the_relations(self):
+        p, graph = 5, builtin_graph("gamma1")
+        labels = tuple(str(i) for i in range(p))
+
+        def table(relation):
+            return {key: Fraction(relation(*map(int, key)))
+                    for key in itertools.product(labels, repeat=3)}
+        expected = Game.of(graph, dict.fromkeys("abcd", labels), {
+            "b": table(lambda a, b, c: (2 * b - a - c) % p == 0),
+            "c": table(lambda b, c, d: (2 * c - b - d) % p == 0)})
+        assert builtin_game("gamma1_mean_mod(5)") == expected
 
     def test_mean_mod_equilibria_solve_the_relations(self):
         game = builtin_game("gamma1_mean_mod(5)")
@@ -632,6 +647,202 @@ class TestAgainstPerGameLoops:
             assert fuzz_soundness(graph, atoms, bounds) == fuzz_by_games(graph, atoms, bounds)
 
 
+def _record_blocks(monkeypatch):
+    """`(counts, start, size, max_block)` of every systematic block judged."""
+    calls = []
+    real = _BlockLayout.systematic_block
+
+    def record(layout, counts, cells, start, size):
+        calls.append((tuple(counts), start, size, layout.max_block))
+        return real(layout, counts, cells, start, size)
+    monkeypatch.setattr(_BlockLayout, "systematic_block", record)
+    return calls
+
+
+def _canonical_position(graph, bounds, game):
+    """The count shape of a game of the canonical order, and its assignment
+    number: its cells' value indices as digits, the first cell most
+    significant."""
+    number = 0
+    for p in graph.players:
+        for key in itertools.product(*(game.strategies[q] for q in graph.local_order(p))):
+            number = (number * len(bounds.payoff_values)
+                      + bounds.payoff_values.index(game.payoffs[p][key]))
+    return tuple(len(game.strategies[p]) for p in graph.players), number
+
+
+class TestSystematicBlocks:
+    """Systematic mode judged in blocks of assignment numbers gives the
+    games and counts of building and judging every game of the canonical
+    order."""
+
+    @pytest.mark.parametrize("values", [(5,), (1, 0), (-1, Fraction(1, 2), 0), (0, -2, 1)])
+    @pytest.mark.parametrize("most", [1, 2, 3])
+    def test_strategy_caps_and_value_lists(self, most, values, monkeypatch):
+        calls = _record_blocks(monkeypatch)
+        for name, texts in [("pair", ["a |> b", "(a |> b) -> {} |> b", "b |> b"]),
+                            ("gamma3", ["a,c |> b", "(c |> b) -> {} |> b",
+                                        "(a |> c) -> a,b |> c"]),
+                            ("triangle", ["!(a |> b,c)", "a,b |> c"])]:
+            graph = builtin_graph(name)
+            for text in texts:
+                bounds = SearchBounds(max_strategies=most, payoff_values=values,
+                                      max_profiles=250, mode="systematic")
+                formula = parse_formula(text, graph)
+                assert (find_counterexample(graph, formula, bounds)
+                        == counterexample_by_games(graph, formula, bounds))
+        assert calls
+
+    def test_budgets_stop_mid_shape_and_mid_block(self, monkeypatch):
+        calls = _record_blocks(monkeypatch)
+        graph = builtin_graph("gamma3")
+        formula = parse_formula("(a |> c) -> a,b |> c", graph)
+        cut = 0
+        for budget in (1, 9, 50, 333, 1000, 2999):
+            calls.clear()
+            bounds = SearchBounds(max_strategies=2, max_profiles=budget, mode="systematic")
+            outcome = find_counterexample(graph, formula, bounds)
+            assert outcome == counterexample_by_games(graph, formula, bounds)
+            # no block runs past the candidates the budget admits
+            assert outcome.cap_exceeded
+            assert sum(size for _, _, size, _ in calls) == outcome.games_examined
+            counts, start, size, _ = calls[-1]
+            shape = 2 ** sum(math.prod(counts[graph.index(q)] for q in graph.local_order(p))
+                             for p in graph.players)
+            cut += start > 0 and start + size < shape
+        assert cut >= 2
+
+    def test_first_failures_in_later_shapes_past_their_first_block(self, monkeypatch):
+        # b determined by one neighbour yet not constant: the first failure
+        # needs two strategies each and comes at number 6 or 12 of its shape,
+        # past the first of blocks capped at 4 (pair) or 2 (gamma3) candidates;
+        # the last formula holds within the budget, a walk in capped blocks
+        monkeypatch.setattr(gamedep.search, "_BLOCK_ELEMENTS", 40)
+        calls = _record_blocks(monkeypatch)
+        late = 0
+        for name, text in [("pair", "(a |> b) -> {} |> b"), ("gamma3", "(c |> b) -> {} |> b"),
+                           ("gamma3", "(a |> b) -> {} |> b")]:
+            graph = builtin_graph(name)
+            formula = parse_formula(text, graph)
+            for values in [(0, 1), (-1, Fraction(1, 2), 0)]:
+                calls.clear()
+                bounds = SearchBounds(max_strategies=2, payoff_values=values,
+                                      max_profiles=3000, mode="systematic")
+                outcome = find_counterexample(graph, formula, bounds)
+                assert outcome == counterexample_by_games(graph, formula, bounds)
+                assert all(size <= cap for _, _, size, cap in calls)
+                if outcome:
+                    counts, number = _canonical_position(graph, bounds, outcome)
+                    block = next(start for shape, start, size, _ in calls
+                                 if shape == counts and start <= number < start + size)
+                    late += counts != calls[0][0] and block > 0
+        assert late == 4
+
+    def test_budgets_past_2_to_the_64_walk_the_whole_order(self, monkeypatch):
+        calls = _record_blocks(monkeypatch)
+        bounds = SearchBounds(max_strategies=2, max_profiles=2 ** 64 + 5, mode="systematic")
+        graph = builtin_graph("pair")
+        for text in ("(a |> b) -> a |> a,b", "a |> a"):
+            formula = parse_formula(text, graph)
+            outcome = find_counterexample(graph, formula, bounds)
+            assert outcome == counterexample_by_games(graph, formula, bounds)
+            assert outcome == NoneWithinBounds(4 + 16 + 16 + 256)
+        # a formula without atoms: the oracle builds the 67,976 games but
+        # enumerates none; the (2, 2, 2) shape alone outgrows the block cap
+        graph = builtin_graph("gamma3")
+        formula = Implication(FALSUM, FALSUM)
+        calls.clear()
+        outcome = find_counterexample(graph, formula, bounds)
+        assert outcome == counterexample_by_games(graph, formula, bounds)
+        assert outcome == NoneWithinBounds(67_976)
+        assert max(size for _, _, size, _ in calls) == calls[0][3] < 2 ** 16
+
+    def test_paths_past_the_grid_bound_build_no_layout(self, monkeypatch):
+        built = []
+        real = _BlockLayout.of
+        monkeypatch.setattr(_BlockLayout, "of",
+                            lambda *args: built.append(real(*args)) or built[-1])
+        players = [f"p{i}" for i in range(13)]
+        graph = DependencyGraph.of(players, zip(players, players[1:]))
+        assert 2 ** 13 > gamedep.search._GRID_PROFILES
+        # the first shape alone holds 2^13 games: budgets stop inside it
+        for text, budget in [("!(p0 |> p12)", 10 ** 6), ("p5 |> p6", 300), ("p0 |> p0", 90)]:
+            bounds = SearchBounds(max_strategies=2, max_profiles=budget, mode="systematic")
+            formula = parse_formula(text, graph)
+            assert (find_counterexample(graph, formula, bounds)
+                    == counterexample_by_games(graph, formula, bounds))
+        assert built == [None] * 3
+
+    def test_block_masks_are_the_equilibria_of_their_games(self):
+        # shape (1, 2, 1) of gamma3 follows 27 + 243 games; 3 unsorted values
+        graph = builtin_graph("gamma3")
+        bounds = SearchBounds(max_strategies=2, payoff_values=(1, -2, 0), mode="systematic")
+        layout = _BlockLayout.of(graph, bounds)
+        start, size = 100, 64
+        mask = layout.systematic_block((1, 2, 1), 6, start, size)   # 3^6 games
+        games = itertools.islice(games_in_canonical_order(graph, bounds),
+                                 270 + start, 270 + start + size)
+        grid = list(itertools.product("01", repeat=3))
+        for column, game in zip(mask.T, games):
+            assert {grid[i] for i in np.flatnonzero(column)} == set(equilibria(game))
+
+    def test_the_judge_reads_every_output_the_same_way(self):
+        # outputs at the top of the range, which the random stream would
+        # redraw, are read mod m and mod the number of values like any other;
+        # both are 3, so the outputs mod 9 must read the same
+        graph = builtin_graph("gamma1")
+        bounds = SearchBounds(max_strategies=3, payoff_values=(0, 1, 2))
+        layout = _BlockLayout.of(graph, bounds)
+        rng = random.Random(6)
+        raw = [[MASK64 - rng.randrange(40) for _ in range(50)] for _ in range(layout.draws)]
+        top = np.array(raw, np.uint64)
+        counts, mask = layout.judge(top)
+        low_counts, low_mask = layout.judge(top % np.uint64(9))
+        assert (top >= layout.limits[0]).any() and (top >= layout.limits[1]).any()
+        assert (counts == low_counts).all() and (mask == low_mask).all()
+        assert mask.any()
+
+
+class TestFuzzCover:
+    """Fuzzing judges the cover of the derived goals; every goal holds where
+    the cover holds."""
+
+    @given(graphs(max_players=6), st.data())
+    def test_goals_outside_the_cover_follow_by_augmentation(self, graph, data):
+        pairs = data.draw(st.lists(st.tuples(player_sets(graph), player_sets(graph)),
+                                   max_size=3))
+        table = saturate(graph, Hypotheses.of([Atom(lhs, rhs) for lhs, rhs in pairs]))
+        goals, cover = _fuzz_goals(graph, table)
+        closure = table.closure
+        subsets = [frozenset(c) for k in range(len(graph.players) + 1)
+                   for c in itertools.combinations(graph.players, k)]
+        assert ({(goal.lhs, goal.rhs) for goal in goals}
+                == {(x, closure(x)) for x in subsets if closure(x) != x})
+        for goal in goals:
+            implied = any(goal.rhs <= goal.lhs | closure(goal.lhs - {x}) for x in goal.lhs)
+            assert implied == (goal not in cover)
+
+    def test_every_goal_holds_where_the_cover_holds(self):
+        rng = random.Random("cover")
+        covered = partial = 0
+        for _ in range(30):
+            graph = _seeded_graph(rng)
+            most = min(2, len(graph.players))
+            hypotheses = [Atom(frozenset(rng.sample(graph.players, rng.randint(0, most))),
+                               frozenset(rng.sample(graph.players, 1)))
+                          for _ in range(rng.randint(1, 2))]
+            goals, cover = _fuzz_goals(graph, saturate(graph, Hypotheses.of(hypotheses)))
+            bounds = SearchBounds(max_strategies=2, seed=rng.getrandbits(64))
+            for index in range(20):
+                game = random_game(graph, bounds, index)
+                if all(holds(game, goal) for goal in cover):
+                    covered += len(cover) < len(goals)
+                    assert all(holds(game, goal) for goal in goals)
+                else:
+                    partial += any(holds(game, goal) for goal in goals)
+        assert covered >= 50 and partial >= 50
+
+
 # --- resource guards ----------------------------------------------------------------
 
 
@@ -739,6 +950,11 @@ class TestFuzzViolations:
         for violation in report.violations:
             assert violation.game == random_game(graph, bounds, violation.index)
         assert f"game {first.index}: derived " in report.text()
+        # the violating goals outside the cover are listed too
+        goals, cover = _fuzz_goals(graph, _unsound(graph, []))
+        assert cover == [Atom.of("a", "ad"), Atom.of("bc", "bcd")] and len(goals) == 5
+        assert ({v.atom.lhs for v in report.violations} - {goal.lhs for goal in cover}
+                == {frozenset("ab"), frozenset("ac"), frozenset("abc")})
 
     def test_violating_games_are_printed_by_the_command_line(self, monkeypatch, tmp_path,
                                                              capsys):
