@@ -41,6 +41,9 @@ Formulas::
     set     := '{' idlist? '}' | idlist
     idlist  := id (',' id)*
 
+A formula nests at most `MAX_FORMULA_DEPTH` levels of '->', '!' and
+parentheses combined; the token past the bound is a located error.
+
 Derivations carry one step per line::
 
     <index>. <atom> [<Rule> <args>]
@@ -358,6 +361,10 @@ def print_game(game: Game) -> str:
 
 # --- formulas ---------------------------------------------------------------
 
+# Nesting of '->', '!' and '(' combined: keeps parsing, evaluation and
+# printing, all recursive, far inside Python's recursion limit.
+MAX_FORMULA_DEPTH = 100
+
 _TOKEN_RE = re.compile(r"->|\|>|[!(){},]|[A-Za-z][A-Za-z0-9_]*|\S")
 
 
@@ -394,6 +401,7 @@ class _FormulaParser:
         self.tokens = tokens
         self.graph = graph
         self.position = 0
+        self.depth = 0
 
     def peek(self) -> _Token | None:
         if self.position < len(self.tokens):
@@ -416,19 +424,30 @@ class _FormulaParser:
             raise ParseError(token.line, f"expected {kind!r}, got {token.text!r}", token.column)
         return token
 
+    def nested(self, parse):
+        """`parse()` one level deeper than the token just taken."""
+        self.depth += 1
+        if self.depth > MAX_FORMULA_DEPTH:
+            token = self.tokens[self.position - 1]
+            raise ParseError(token.line, f"formula nests more than {MAX_FORMULA_DEPTH} "
+                                         f"levels of '->', '!' and '('", token.column)
+        result = parse()
+        self.depth -= 1
+        return result
+
     def formula(self) -> Formula:
         left = self.unary()
         token = self.peek()
         if token is not None and token.kind == "->":
             self.take()
-            return Implication(left, self.formula())
+            return Implication(left, self.nested(self.formula))
         return left
 
     def unary(self) -> Formula:
         token = self.peek()
         if token is not None and token.kind == "!":
             self.take()
-            return Implication(self.unary(), FALSUM)
+            return Implication(self.nested(self.unary), FALSUM)
         return self.primary()
 
     def primary(self) -> Formula:
@@ -442,7 +461,7 @@ class _FormulaParser:
             return FALSUM
         if token.kind == "(":
             self.take()
-            inner = self.formula()
+            inner = self.nested(self.formula)
             self.expect(")")
             return inner
         return self.atom()

@@ -63,9 +63,10 @@ the pair table above, read from it.  The tree builder keeps the array, and
 for a fact about v searches the left sides U with v outside it, in
 ascending order, for the cut that produced the fact.
 
-Each fact records the sweep at which it first appeared, which lets
-`derive_tree` rebuild an explicit, independently checkable derivation by
-running the producing rule of each fact backwards.
+Saturation keeps cl as it stood after each sweep.  A fact's sweep is the
+first snapshot that holds it, which lets `derive_tree` rebuild an
+explicit, independently checkable derivation by running the producing
+rule of each fact backwards against the snapshot before.
 """
 
 from __future__ import annotations
@@ -250,19 +251,20 @@ def _cut_table(graph: DependencyGraph) -> tuple[np.ndarray,
 class ClosureTable:
     """Saturated closure of every vertex subset under the hypotheses.
 
-    `_borders` is the border array of the cut table saturation built, kept
-    for the tree builder.
+    `_history[s]` is cl as it stood after sweep s, index 0 being the seeded
+    table, and `_kinds[s]` names that sweep; the last snapshot is the
+    fixpoint.  `_borders` is the border array of the cut table saturation
+    built, kept for the tree builder.
     """
 
     graph: DependencyGraph
     hypotheses: Hypotheses
-    _cl: np.ndarray
-    _wave: np.ndarray          # _wave[X, v]: sweep where v entered cl(X), -1 if never
+    _history: tuple[np.ndarray, ...]
     _kinds: tuple[str, ...]    # sweep kinds; index 0 is the seeding
     _borders: np.ndarray       # _borders[U]: border(U) | border(W), W the complement of U
 
     def closure_mask(self, lhs_mask: int) -> int:
-        return int(self._cl[lhs_mask])
+        return int(self._history[-1][lhs_mask])
 
     def closure(self, lhs: Iterable[str]) -> PlayerSet:
         return self.graph.players_of_mask(self.closure_mask(self.graph.mask_of(lhs)))
@@ -282,33 +284,18 @@ def saturate(graph: DependencyGraph,
         graph.check_players(atom.lhs)
         graph.check_players(atom.rhs)
 
-    size = 1 << n
-    identity = np.arange(size, dtype=np.int64)
     borders, (keys, targets, outside) = _cut_table(graph)
-    cl = identity.copy()
-    wave = np.full((size, n), -1, dtype=np.int16)
-    for v in range(n):
-        wave[(identity >> v & 1) == 1, v] = 0
+    cl = np.arange(1 << n, dtype=np.int64)
     for atom in hypotheses:
-        lhs = graph.mask_of(atom.lhs)
-        rhs = graph.mask_of(atom.rhs)
-        fresh = rhs & ~int(cl[lhs])
-        cl[lhs] |= rhs
-        for v in range(n):
-            if fresh >> v & 1:
-                wave[lhs, v] = 0
+        cl[graph.mask_of(atom.lhs)] |= graph.mask_of(atom.rhs)
+    history = [cl]
     kinds = ["seed"]
 
     def record(new: np.ndarray, kind: str) -> bool:
         nonlocal cl
-        additions = new & ~cl
-        if not additions.any():
+        if np.array_equal(new, cl):
             return False
-        sweep = len(kinds)
-        for v in range(n):
-            rows = np.nonzero(additions & (1 << v))[0]
-            if rows.size:
-                wave[rows, v] = sweep
+        history.append(new)
         kinds.append(kind)
         cl = new
         return True
@@ -330,7 +317,7 @@ def saturate(graph: DependencyGraph,
         if not progressed:
             break
 
-    return ClosureTable(graph, hypotheses, cl, wave, tuple(kinds), borders)
+    return ClosureTable(graph, hypotheses, tuple(history), tuple(kinds), borders)
 
 
 def derives(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
@@ -339,7 +326,7 @@ def derives(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
 
 
 class _TreeBuilder:
-    """Rebuilds an explicit derivation from the saturation timestamps."""
+    """Rebuilds an explicit derivation from the saturation snapshots."""
 
     def __init__(self, table: ClosureTable):
         self.table = table
@@ -363,14 +350,6 @@ class _TreeBuilder:
             self.memo[atom] = index
         return index
 
-    def before(self, x: int, sweep: int) -> int:
-        row = self.table._wave[x]
-        mask = 0
-        for v in range(self.n):
-            if 0 <= row[v] < sweep:
-                mask |= 1 << v
-        return mask
-
     def hypothesis_step(self, atom: Atom) -> int:
         return self.emit(atom, ByHypothesis())
 
@@ -380,8 +359,9 @@ class _TreeBuilder:
         cached = self.memo.get(atom)
         if cached is not None:
             return cached
-        sweep = int(self.table._wave[x, v])
-        if sweep < 0:
+        sweep = next((s for s, snapshot in enumerate(self.table._history)
+                      if snapshot[x] >> v & 1), None)
+        if sweep is None:
             raise AssertionError("fact requested for an underivable atom")
         kind = self.table._kinds[sweep]
         if kind == "seed":
@@ -410,9 +390,8 @@ class _TreeBuilder:
         return self.emit(atom, Contiguity(premise, cut, separated))
 
     def find_chain_source(self, x: int, v: int, sweep: int) -> int:
-        known = self.before(x, sweep)
-        column = self.table._wave[:, v]
-        usable = ((self.ids & ~known) == 0) & (column >= 0) & (column < sweep)
+        prev = self.table._history[sweep - 1]
+        usable = ((self.ids & ~prev[x]) == 0) & ((prev >> v & 1) == 1)
         candidates = np.nonzero(usable)[0]
         if not candidates.size:
             raise AssertionError("no chain source found")
@@ -420,8 +399,8 @@ class _TreeBuilder:
                    key=lambda m: (m.bit_count(), m))
 
     def find_contiguity_source(self, x: int, v: int, sweep: int) -> tuple[int, int]:
-        column = self.table._wave[:, v]
-        sources = [int(s) for s in np.nonzero((column >= 0) & (column < sweep))[0]]
+        prev = self.table._history[sweep - 1]
+        sources = [int(s) for s in np.nonzero(prev >> v & 1)[0]]
         sources.sort(key=lambda m: (m.bit_count(), m))
         us = self.ids[(self.ids >> v & 1) == 0]
         base = self.table._borders[us]

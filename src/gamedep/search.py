@@ -94,17 +94,16 @@ class SplitMix64:
         self.state = seed & MASK64
 
     def next(self) -> int:
-        self.state = (self.state + _GOLDEN) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return z ^ (z >> 31)
+        return self.take(1 << 64, 1)[0]
 
     def take(self, bound: int, count: int) -> list[int]:
         """`count` uniform integers in [0, bound), each by rejection to avoid
-        modulo bias: the draws of `count` calls of `below`, in one loop."""
+        modulo bias: the draws of `count` calls of `below`, in one loop.
+        A bound above 2^64 would reject every output, so it is refused."""
         if bound <= 0:
             raise InputError(f"bound must be positive, got {bound}")
+        if bound > 1 << 64:
+            raise InputError(f"bound must be at most 2^64, got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
         state = self.state
         out = []
@@ -269,17 +268,6 @@ def _table_sizes(graph: DependencyGraph, counts) -> list[int]:
     return [math.prod(counts[i] for i in graph.local_indices(p)) for p in graph.players]
 
 
-def _once(compute):
-    """`compute`, run on the first call only; later calls return its result."""
-    result = []
-
-    def once():
-        if not result:
-            result.append(compute())
-        return result[0]
-    return once
-
-
 def _split(flat, sizes) -> list:
     """`flat` cut into consecutive pieces of the given sizes."""
     pieces, start = [], 0
@@ -301,7 +289,7 @@ def _draw(graph: DependencyGraph, bounds: SearchBounds, index: int):
     def cells() -> list[list[int]]:
         sizes = _table_sizes(graph, counts)
         return _split(rng.take(len(bounds.payoff_values), sum(sizes)), sizes)
-    return counts, _once(cells)
+    return counts, functools.cache(cells)
 
 
 def _build(graph: DependencyGraph, bounds: SearchBounds, counts, cells) -> Game:
@@ -600,12 +588,6 @@ def _systematic_draws(graph: DependencyGraph, bounds: SearchBounds):
             yield counts, functools.partial(_split, assignment, sizes)
 
 
-def _systematic_games(graph: DependencyGraph, bounds: SearchBounds) -> Iterator[Game]:
-    """The games of the canonical order, built."""
-    for counts, cells in _systematic_draws(graph, bounds):
-        yield _build(graph, bounds, counts, cells())
-
-
 def _assignment_cells(number: int, base: int, sizes) -> list:
     """The cells of assignment `number` of a shape with tables of `sizes`
     cells: its digits in base `base`, most significant first, split by table."""
@@ -663,7 +645,7 @@ def _equilibria(graph: DependencyGraph, counts, cells, ranks):
         check_profile_cap(math.prod(counts))
         return index_equilibria(graph, counts,
                                 [[ranks[c] for c in row] for row in cells()])
-    return _once(found)
+    return functools.cache(found)
 
 
 def _ranks(values) -> list[int]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from gamedep.cli import build_parser, entry, main
-from gamedep.parser import parse_formula, parse_game
+from gamedep.parser import MAX_FORMULA_DEPTH, parse_formula, parse_game, print_formula
 from gamedep.semantics import holds
 
 COORDINATION_DOC = """\
@@ -300,6 +300,82 @@ class TestFuzzSoundness:
     def test_no_assumptions(self, path_file, capsys):
         assert main(["fuzz-soundness", path_file, "--samples", "5"]) == 0
         assert "violations: 0" in capsys.readouterr().out
+
+
+class TestHugeStrategyBound:
+    """A strategy bound above 2^64 cannot be drawn from: random search
+    refuses it at once instead of rejecting every output."""
+
+    @pytest.mark.parametrize("command", [["refute", "a |> b"], ["fuzz-soundness"]],
+                             ids=["refute", "fuzz-soundness"])
+    def test_refused_promptly_with_exit_2(self, path_file, command, capsys):
+        bound = str((1 << 64) + 1)
+        started = time.perf_counter()
+        code = main([command[0], path_file, *command[1:],
+                     "--max-strategies", bound, "--samples", "1"])
+        elapsed = time.perf_counter() - started
+        assert code == 2
+        assert capsys.readouterr().err == f"error: bound must be at most 2^64, got {bound}\n"
+        assert elapsed < 2.0, f"refusal took {elapsed:.1f}s"
+
+
+def nested_formula(kind: str, depth: int) -> str:
+    """A formula of `depth` levels of one kind of nesting."""
+    if kind == "not":
+        return "!" * depth + "a |> b"
+    if kind == "parens":
+        return "(" * depth + "a |> b" + ")" * depth
+    return " -> ".join(["a |> b"] * (depth + 1))
+
+
+NESTING_KINDS = ["not", "parens", "chain"]
+
+
+class TestDeepFormulas:
+    """Nesting past MAX_FORMULA_DEPTH is a located error, exit 2, at the
+    token that crosses the bound; a formula at the bound is read."""
+
+    DEEP = 3000
+    REASON = f"formula nests more than {MAX_FORMULA_DEPTH} levels of '->', '!' and '('"
+    # the column of the token that crosses the bound
+    COLUMN = {"not": MAX_FORMULA_DEPTH + 1, "parens": MAX_FORMULA_DEPTH + 1,
+              "chain": MAX_FORMULA_DEPTH * len("a |> b -> ") + len("a |> b ") + 1}
+
+    @pytest.mark.parametrize("kind", NESTING_KINDS)
+    @pytest.mark.parametrize("command", ["check", "refute", "prove", "prove-check"])
+    def test_past_the_bound_is_located(self, game_file, path_file, tmp_path, capsys,
+                                       command, kind):
+        formula = nested_formula(kind, self.DEEP)
+        proof = tmp_path / "proof.txt"
+        proof.write_text(PROOF_DOC)
+        argv = {"check": ["check", game_file, formula],
+                "refute": ["refute", path_file, formula],
+                "prove": ["prove", path_file, "a |> a", "--assume", formula],
+                "prove-check": ["prove-check", path_file, str(proof), "--assume", formula]}
+        assert main(argv[command]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: line 1, column {self.COLUMN[kind]}: {self.REASON}\n")
+
+    @pytest.mark.parametrize("kind", NESTING_KINDS)
+    def test_past_the_bound_in_a_derivation_file(self, path_file, tmp_path, capsys, kind):
+        # derivation errors give the line of the step, as every derivation error does
+        proof = tmp_path / "proof.txt"
+        proof.write_text(f"1. a |> d [Hypothesis]\n2. {nested_formula(kind, self.DEEP)} "
+                         f"[Hypothesis]\n")
+        assert main(["prove-check", path_file, str(proof), "--assume", "a |> d"]) == 2
+        assert capsys.readouterr().err == f"error: line 2: {self.REASON}\n"
+
+    @pytest.mark.parametrize("kind", NESTING_KINDS)
+    def test_at_the_bound_checks_refutes_and_prints(self, game_file, path_file, capsys,
+                                                     kind):
+        text = nested_formula(kind, MAX_FORMULA_DEPTH)
+        game = parse_game(COORDINATION_DOC)
+        formula = parse_formula(text, game.graph)
+        assert parse_formula(print_formula(formula, game.graph), game.graph) == formula
+        assert main(["check", game_file, text]) == (0 if holds(game, formula) else 1)
+        assert main(["refute", path_file, text, "--samples", "20"]) in (0, 1)
+        assert capsys.readouterr().err == ""
 
 
 # Python refuses to convert longer digit strings to int (0: no limit).

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gamedep.core import FALSUM, Atom, Implication
 from gamedep.parser import (
+    MAX_FORMULA_DEPTH,
     LocalityError,
     ParseError,
     ScopeError,
@@ -316,6 +317,17 @@ class TestParseFormula:
         with pytest.raises(ParseError) as err:
             parse_formula("a |> b ?", GRAPH)
         assert err.value.column == 8
+
+    def test_nesting_bound_counts_arrows_negations_and_parentheses_together(self):
+        half = MAX_FORMULA_DEPTH // 2
+        at_bound = "(!" * half + "a |> b" + ")" * half
+        assert parse_formula(at_bound, GRAPH) == parse_formula("!" * half + "a |> b", GRAPH)
+        with pytest.raises(ParseError, match="nests more than") as err:
+            parse_formula("!" + at_bound, GRAPH)
+        assert (err.value.line, err.value.column) == (1, 2 * half + 1)
+        with pytest.raises(ParseError, match="nests more than") as err:
+            parse_formula(f"a |> b -> {at_bound}", GRAPH)
+        assert err.value.column == 2 * half + len("a |> b -> ")
 
     def test_parse_atom_rejects_non_atoms(self):
         assert parse_atom("b,a |> d", GRAPH) == Atom.of("ab", "d")

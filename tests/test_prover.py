@@ -87,7 +87,7 @@ class TestSaturate:
         graph = builtin_graph("gamma1")
         table = saturate(graph, [])
         identity = np.arange(1 << len(graph.players))
-        assert ((table._cl & identity) == identity).all()
+        assert ((table._history[-1] & identity) == identity).all()
 
     def test_closure_is_monotone(self):
         graph = builtin_graph("gamma2")
@@ -96,7 +96,7 @@ class TestSaturate:
         for x in range(size):
             for y in range(size):
                 if x & y == x:
-                    assert int(table._cl[x]) & ~int(table._cl[y]) == 0
+                    assert table.closure_mask(x) & ~table.closure_mask(y) == 0
 
     def test_rejects_hypotheses_about_unknown_players(self):
         graph = builtin_graph("gamma3")
@@ -707,11 +707,16 @@ class TestOracleAgreement:
 
 
 def assert_same_sweeps(graph, hyps):
+    """Snapshot s holds exactly the oracle's facts of sweeps 0 to s."""
     table = saturate(graph, hyps)
     cl, wave, kinds = saturate_by_sweeps(graph, Hypotheses.of(hyps))
-    assert np.array_equal(table._cl, cl)
-    assert np.array_equal(table._wave, wave)
     assert table._kinds == kinds
+    assert len(table._history) == len(kinds)
+    bits = np.int64(1) << np.arange(len(graph.players), dtype=np.int64)
+    for sweep, snapshot in enumerate(table._history):
+        facts = ((wave >= 0) & (wave <= sweep)) @ bits
+        assert np.array_equal(snapshot, facts), f"sweep {sweep} ({kinds[sweep]})"
+    assert np.array_equal(table._history[-1], cl)
 
 
 class TestSweepOracle:

@@ -40,8 +40,9 @@ from gamedep.search import (
     _count_vectors,
     _draw,
     _fuzz_goals,
+    _build,
     _stream,
-    _systematic_games,
+    _systematic_draws,
     builtin_game,
     builtin_graph,
     find_counterexample,
@@ -57,6 +58,12 @@ from oracles import (
     game_by_draws,
     games_in_canonical_order,
 )
+
+
+def systematic_games(graph, bounds):
+    """The games of the canonical order in `src`, built one draw at a time."""
+    for counts, cells in _systematic_draws(graph, bounds):
+        yield _build(graph, bounds, counts, cells())
 
 
 class TestSplitMix64:
@@ -87,6 +94,17 @@ class TestSplitMix64:
         assert SplitMix64(3).take(5, 0) == []
         with pytest.raises(InputError, match="bound must be positive"):
             SplitMix64(3).take(0, 1)
+
+    def test_bound_of_2_to_the_64_is_the_raw_output(self):
+        below, raw = SplitMix64(5), SplitMix64(5)
+        assert [below.below(1 << 64) for _ in range(10)] == [raw.next() for _ in range(10)]
+        assert below.state == raw.state
+
+    def test_bound_above_2_to_the_64_is_refused_before_drawing(self):
+        rng = SplitMix64(1)
+        with pytest.raises(InputError, match=r"at most 2\^64"):
+            rng.below((1 << 64) + 1)
+        assert rng.state == 1
 
     def test_rejection_skips_the_biased_tail(self):
         # bound 2^63 + 5 rejects outputs >= 2^63 + 5, so draws are outputs below it
@@ -306,7 +324,7 @@ class TestSystematicOrder:
     def test_single_player_enumeration_is_exhaustive(self):
         graph = DependencyGraph.of(["a"], [])
         bounds = SearchBounds(max_strategies=2, mode="systematic")
-        games = list(_systematic_games(graph, bounds))
+        games = list(systematic_games(graph, bounds))
         # one cell with two values, then two cells with two values each
         assert len(games) == 2 + 4
         distinct = [g for i, g in enumerate(games) if g not in games[:i]]
@@ -315,7 +333,7 @@ class TestSystematicOrder:
     def test_last_payoff_cell_varies_fastest(self):
         graph = builtin_graph("pair")
         bounds = SearchBounds(max_strategies=1, mode="systematic")
-        games = list(_systematic_games(graph, bounds))
+        games = list(systematic_games(graph, bounds))
         assert len(games) == 4
         first, second = games[0], games[1]
         assert first.payoffs["a"] == {("0", "0"): Fraction(0)}
@@ -359,7 +377,7 @@ class TestFindCounterexample:
         graph = builtin_graph("pair")
         bounds = SearchBounds(max_strategies=1, mode="systematic")
         game = find_counterexample(graph, Falsum(), bounds)
-        assert game == next(iter(_systematic_games(graph, bounds)))
+        assert game == next(iter(systematic_games(graph, bounds)))
 
     def test_profile_budget_is_cumulative(self):
         graph = builtin_graph("pair")
@@ -629,7 +647,7 @@ class TestAgainstPerGameLoops:
                 assert random_game(graph, bounds, index) == game_by_draws(graph, bounds, index)
         graph = builtin_graph("pair")
         bounds = SearchBounds(max_strategies=2, payoff_values=(-1, Fraction(1, 2), 0))
-        assert (list(_systematic_games(graph, bounds))[:500]
+        assert (list(systematic_games(graph, bounds))[:500]
                 == list(itertools.islice(games_in_canonical_order(graph, bounds), 500)))
 
     @pytest.mark.parametrize("seed", range(4))
