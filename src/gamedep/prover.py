@@ -220,17 +220,19 @@ def _cut_table(graph: DependencyGraph) -> tuple[np.ndarray,
     """
     n = len(graph.players)
     size = 1 << n
-    ids = np.arange(size, dtype=np.int64)
-    border = np.zeros(size, dtype=np.int64)
-    earlier = []
-    for v, name in enumerate(graph.players):
-        adj = graph.mask_of(graph.neighbors(name))
-        inside = (ids >> v & 1) == 1
-        escaping = (~ids & adj) != 0
-        border |= np.where(inside & escaping, np.int64(1 << v), np.int64(0))
-        earlier.append(adj & ((1 << v) - 1))
+    adjacency = [graph.mask_of(graph.neighbors(name)) for name in graph.players]
+    # escaping[v, U]: v is in U and has a neighbour outside it.  Subsets are
+    # held in the smallest unsigned type, which keeps the (n, 2^n)
+    # temporaries small: 12 int64 rows of 2^12 took longer than the loop
+    # over vertices they replace
+    subsets = np.arange(size, dtype=np.min_scalar_type(size - 1))
+    bits = (1 << np.arange(n)).astype(subsets.dtype)[:, None]
+    escaping = (((subsets & bits) != 0)
+                & ((~subsets & np.array(adjacency, subsets.dtype)[:, None]) != 0))
+    border = np.bitwise_or.reduce(np.where(escaping, bits, 0), axis=0).astype(np.int64)
+    earlier = [adj & ((1 << v) - 1) for v, adj in enumerate(adjacency)]
     full = size - 1
-    borders = border | border[full ^ ids]
+    borders = border | border[full ^ subsets]
     us = np.zeros(1, dtype=np.int32)
     ys = np.zeros(1, dtype=np.int32)
     for v in range(n):

@@ -29,14 +29,17 @@ once with each player's table padded to `max_strategies` strategies per
 member, best responses by one max, equilibria as a mask over the padded
 profile grid, and each atom by grouping that mask on its lhs projection.
 Random mode judges a per-game prefix of `_PER_GAME_PREFIX` candidates, then
-blocks of consecutive indices, their rows every raw splitmix64 output.
-Systematic mode judges consecutive assignment numbers of one count shape,
-its rows the counts and the digits of each number.  Blocks double in size
-up to `_BLOCK_ELEMENTS` padded elements, and the budget is still checked
-per candidate in order.  Candidates are judged per game instead when an
-output in their random window was rejected, and when the padded grid has
-more than `_GRID_PROFILES` profiles (past it the dense grid costs more than
-the sparse per-game join, and the profile cap cannot fire inside a block).
+blocks of consecutive indices: it computes their strategy counts first and
+then only the splitmix64 outputs that each candidate reads.  Systematic
+mode judges consecutive assignment numbers of one count shape, its rows the
+counts and the digits of each number.  The first block holds
+`_FIRST_BLOCK` candidates, and each later block as many as all blocks
+before it (`_block_size`), up to `_BLOCK_ELEMENTS` padded elements; the
+budget is still checked per candidate in order.  Candidates are judged per
+game instead when an output in their random window was rejected, and when
+the padded grid has more than `_GRID_PROFILES` profiles (past it the dense
+grid costs more than the sparse per-game join, and the profile cap cannot
+fire inside a block).
 
 `fuzz_soundness` judges a game on a cover of its derived goals
 (`_fuzz_goals`), exact because Augmentation is sound on every equilibrium
@@ -315,9 +318,14 @@ def _drawn_cells(graph: DependencyGraph, bounds: SearchBounds, index: int):
 # --- judging blocks of the random stream as arrays ----------------------------
 
 # The first candidates of a random search are judged per game, so a search
-# that stops among them pays nothing for the block layout (about as much as
-# judging a few games) or for judging candidates it never reaches.
+# that stops among them pays nothing for the block layout (0.1-0.2 ms on
+# gamma1-gamma5, about as much as judging a few games) or for judging
+# candidates it never reaches.
 _PER_GAME_PREFIX = 8
+# The first block holds this many candidates.  A block costs a fixed
+# 0.1-0.2 ms and 1.4-5.1 us per candidate on gamma1, gamma4 and gamma5
+# (2-vCPU VM), so at 40-70 candidates both halves are about equal.
+_FIRST_BLOCK = 64
 # A block holds at most this many padded elements: its candidates times the
 # larger of a candidate's padded profile grid and its draws.
 _BLOCK_ELEMENTS = 1 << 16
@@ -328,6 +336,9 @@ _BLOCK_ELEMENTS = 1 << 16
 # time up to 4096 profiles, and 1.2-4.8 times it from 6561 (fuzz-soundness)
 # or 8192 (refute) profiles on.
 _GRID_PROFILES = 1 << 12
+# Each strategy of a cell that its candidate does not have adds this to the
+# cell's place in `_BlockLayout`: more than any flat index into a block.
+_PADDED = 2.0 ** 40
 
 
 def _mix(z):
@@ -350,11 +361,14 @@ def _rejection_limit(bound: int):
 class _BlockLayout:
     """The index tables of one search, shared by all its blocks.
 
-    `judge` reads a block of raw outputs, `raw[draw, candidate]`: a
-    candidate's strategy counts and then its payoff cells in draw order, as
-    `_draw` reads them.  `random_block` fills it from splitmix64 states and
-    alone checks for rejected outputs; `systematic_block` fills it with the
-    counts of one shape and the digits of its assignment numbers.
+    A block is a range of candidates judged at once from their raw
+    outputs, `raw[draw, candidate]`: a candidate's strategy counts and then
+    its payoff cells in draw order, as `_draw` reads them.
+    `systematic_block` fills a raw block with the counts of one shape and
+    the digits of its assignment numbers, and `judge` reads it.
+    `random_block` computes the counts from splitmix64 states first, then
+    only the outputs its candidates read, and alone checks for rejected
+    outputs.
 
     Block arrays run over the candidates on their last axis.  Each player's
     local table is padded to m = `max_strategies` strategies per member and
@@ -364,48 +378,69 @@ class _BlockLayout:
     order.  A best response is then a max over the first axis of the
     `(m, rows, candidates)` array of cells.
 
-    A cell's position among its candidate's draws is linear in the strides
-    of its owner's actual table and the start of that table, so
-    `placement @ features` places every cell of a block at once, and
-    `excess @ too_large` counts the strategies of a cell that its candidate
-    does not have (a padded cell).  `gather[p, profile]` is player p's cell
-    at each profile of the padded grid of m^n profiles (declaration order,
-    last player fastest).  Fuzz blocks group only the cover of the derived
-    goals (`_fuzz_goals`): every goal holds where the cover holds.
+    A cell's flat index into the raw block is linear in the strides of its
+    owner's actual table, the sizes of the tables before it and its
+    candidate, and each strategy of a cell that its candidate does not have
+    (a padded cell) adds `_PADDED`, so one product `placement @ features`
+    places every cell of a block and marks the padded ones (`_live`).  The
+    live cells of a candidate are exactly its payoff cell draws.
+    `gather[p, profile]` is player p's cell at each profile of the padded
+    grid of m^n profiles (declaration order, last player fastest).  Fuzz
+    blocks group only the cover of the derived goals (`_fuzz_goals`): every
+    goal holds where the cover holds.
     """
 
     def __init__(self, graph: DependencyGraph, bounds: SearchBounds, per_candidate: int):
         n, m = len(graph.players), bounds.max_strategies
         self.graph, self.n, self.m = graph, n, m
-        self.width = max(len(graph.local_indices(p)) for p in graph.players)
-        self.members = np.full((n, self.width), n)
-        row_starts = np.cumsum([0] + [m ** (len(graph.local_indices(p)) - 1)
-                                      for p in graph.players])
+        local = [graph.local_indices(p) for p in graph.players]
+        width = max(map(len, local))
+        # members in local order, padded with n (count 1) and ended by n + 1
+        # (the block size)
+        self.members = np.array([[*members, *[n] * (width - len(members)), n + 1]
+                                 for members in local])
+        # power[i, q]: the place value of member q in player i's local
+        # number, own strategy first and the other members in local order;
+        # 0 for a non-member, and m^width for the padding, whose digit is 0
+        power = []
+        for i, members in enumerate(local):
+            places = [0] * n + [m ** width]
+            for s, q in enumerate([i, *(q for q in members if q != i)]):
+                places[q] = m ** (len(members) - 1 - s)
+            power.append(places)
+        power = np.array(power)
+        rows_of = [m ** (len(members) - 1) for members in local]
+        row_starts = np.cumsum([0, *rows_of])
         self.rows = int(row_starts[-1])
-        cells = m * self.rows
-        self.placement = np.zeros((cells, n * self.width + n + 1))
-        self.placement[:, -1] = 1
-        self.excess = np.zeros((cells, n * m))
-        places = np.zeros((n, n), np.intp)
-        for i, player in enumerate(graph.players):
-            local = graph.local_indices(player)
-            self.members[i, :len(local)] = local
-            order = np.array([i] + [q for q in local if q != i])   # own axis first
-            powers = m ** np.arange(len(local) - 1, -1, -1)
-            digits = np.arange(m ** len(local))[:, None] // powers % m
-            place = np.concatenate([[self.rows], powers[1:]])
-            cell = (row_starts[i] + digits @ place)[:, None]
-            self.placement[cell, i * self.width + np.searchsorted(local, order)] = digits
-            self.placement[cell, n * self.width + i] = 1
-            self.excess[cell, order * m + digits] = 1
-            places[i, order] = place
-        grid = np.arange(m ** n) // m ** np.arange(n - 1, -1, -1)[:, None] % m
-        self.gather = row_starts[:-1, None] + places @ grid
-        self.draws = n + cells
+        self.cells = m * self.rows
+        self.draws = n + self.cells
+
+        # padded cell d * rows + r, own strategy d in row r of its owner: the
+        # digit of each player in it, then the placement columns (strides in
+        # local order, the sizes of earlier tables, the candidate, and each
+        # member's strategy if too large)
+        owner = np.repeat(np.arange(n), rows_of)
+        number = (np.arange(m)[:, None] * np.repeat(rows_of, rows_of)
+                  + np.arange(self.rows) - row_starts[owner])
+        digits = number[:, :, None] // np.maximum(power[owner], 1) % m
+        row = np.arange(self.rows)
+        strides = np.zeros((m, self.rows, n, width))
+        strides[:, row, owner] = digits[:, row[:, None], self.members[owner, :-1]]
+        too_large = (power[owner, :n, None] > 0) & (digits[:, :, :n, None] == np.arange(m))
+        self.placement = np.concatenate([
+            strides.reshape(m, self.rows, -1),
+            np.broadcast_to(np.arange(n) < owner[:, None], (m, self.rows, n)),
+            np.ones((m, self.rows, 1)),
+            too_large.reshape(m, self.rows, -1) * _PADDED], axis=2).reshape(self.cells, -1)
+        place = power[:, :n].astype(float)
+        np.fill_diagonal(place, self.rows)
+        grid = np.indices((m,) * n, dtype=float).reshape(n, -1)
+        self.gather = (row_starts[:-1, None] + place @ grid).astype(np.intp)
+        self.strategies = np.arange(m)[:, None]
         self.steps = np.arange(1, self.draws + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
         values = len(bounds.payoff_values)
-        self.ranks = np.array([-1] + _ranks(bounds.payoff_values),   # -1: padded cell
-                              np.min_scalar_type(-values))
+        self.values = np.uint64(values)
+        self.ranks = np.array(_ranks(bounds.payoff_values), np.min_scalar_type(-values))
         self.limits = (_rejection_limit(m), _rejection_limit(values))
         self.max_block = _BLOCK_ELEMENTS // per_candidate
         self._groupings: dict = {}
@@ -424,58 +459,72 @@ class _BlockLayout:
         draws = n + sum(m ** len(graph.local_indices(p)) for p in graph.players)
         return cls(graph, bounds, max(m ** n, draws))
 
-    def judge(self, raw):
-        """The strategy counts `counts[player, candidate]` of a block and its
-        equilibrium mask, `mask[profile, candidate]` over the padded grid,
-        from the block's raw outputs: `raw[j, c]` is draw j of candidate c.
-        A count is its draw mod m, plus 1; a cell's value index is its draw
-        mod the number of payoff values."""
-        n, m = self.n, self.m
-        size = raw.shape[1]
-        counts = (raw[:n] % np.uint64(m)).astype(np.intp) + 1
-
-        local = np.vstack([counts, np.ones((1, size), np.intp)])[self.members]
+    def _live(self, counts):
+        """Where the candidates of a block with strategy counts
+        `counts[player, candidate]` read their cells: the padded cells'
+        liveness `live[cell, candidate]`, the flat positions `at` of the
+        live ones, and where each reads its draw in a raw block of the
+        block's size (`judge`), as a flat index."""
+        size = counts.shape[1]
+        # every product ends with the block size, so strides and table sizes
+        # come out scaled to rows of the raw block
+        local = np.vstack([counts, np.ones((1, size), np.intp),
+                           np.full((1, size), size)]).take(self.members, axis=0)
         within = np.cumprod(local[:, ::-1], axis=1)[:, ::-1]
-        strides = np.concatenate([within[:, 1:], np.ones_like(within[:, :1])], axis=1)
-        sizes = within[:, 0]
-        starts = n + np.cumsum(sizes, axis=0) - sizes
-        # draw j of candidate c is raw.ravel()[j * size + c]
-        features = np.vstack([strides.reshape(-1, size) * size, starts * size,
-                              np.arange(size)[None, :]])
-        where = (self.placement @ features).astype(np.intp)
-        too_large = counts[:, None, :] <= np.arange(m)[:, None]
-        padded = self.excess @ too_large.reshape(n * m, size) > 0
+        too_large = counts[:, None, :] <= self.strategies
+        features = np.concatenate([within[:, 1:].reshape(-1, size), within[:, 0],
+                                   np.arange(self.n * size, (self.n + 1) * size)[None],
+                                   too_large.reshape(-1, size)])
+        place = self.placement @ features
+        live = place < _PADDED
+        at = np.flatnonzero(live)
+        return live, at, place.ravel()[at].astype(np.intp)
 
-        # a padded cell may point past the block: it reads rank -1 instead
-        value = raw.ravel().take(where, mode="clip")
-        value %= np.uint64(len(self.ranks) - 1)
-        value += np.uint64(1)
-        value *= ~padded
-        cells = self.ranks[value.view(np.int64)].reshape(m, self.rows, size)
-        best = ((cells == cells.max(axis=0)) & (cells >= 0)).reshape(m * self.rows, size)
-        return counts, best[self.gather].all(axis=0)
+    def _mask(self, live, at, outputs):
+        """The equilibrium mask `mask[profile, candidate]` over the padded
+        grid, from the raw outputs of the live cells at flat positions `at`:
+        a cell's value index is its output mod the number of payoff values."""
+        size = live.shape[1]
+        ranks = np.full(self.cells * size, -1, self.ranks.dtype)
+        ranks[at] = self.ranks.take(outputs % self.values)
+        cells = ranks.reshape(self.m, self.rows, size)
+        best = cells == cells.max(axis=0)
+        best &= live.reshape(best.shape)
+        return best.reshape(self.cells, size).take(self.gather, axis=0).all(axis=0)
+
+    def judge(self, raw):
+        """The strategy counts `counts[player, candidate]` of a raw block and
+        its equilibrium mask: `raw[j, c]` is draw j of candidate c, a count
+        its draw mod m, plus 1."""
+        counts = (raw[:self.n] % np.uint64(self.m)).astype(np.intp) + 1
+        live, at, flat = self._live(counts)
+        return counts, self._mask(live, at, raw.ravel().take(flat))
 
     def random_block(self, seed: int, start: int, size: int):
         """Candidates `start .. start+size-1` of the random stream with `seed`:
         their strategy counts, whether each was rejected, and the mask.
 
         Draw j of candidate i comes from state `s_i + (j+1) * 0x9E3779B97F4A7C15`
-        (mod 2^64), so each raw output of the block is one array element.  A
-        candidate with an output at or above its rejection limit inside its
-        window draws differently, so its mask must not be used.
+        (mod 2^64), so each raw output is one array element.  The counts are
+        mixed first, then only the live cells: they are the candidate's
+        window of draws, and a candidate with an output in it at or above its
+        rejection limit draws differently, so its mask must not be used.
         """
         n = self.n
         index = np.arange(start + 1, start + size + 1, dtype=np.uint64)
-        raw = _mix(self.steps[:, None] + (np.uint64(seed) ^ (index * np.uint64(_GOLDEN))))
-        counts, mask = self.judge(raw)
+        states = np.uint64(seed) ^ (index * np.uint64(_GOLDEN))
+        raw = self.steps[:, None] + states   # states; cells are mixed once placed
+        head = _mix(raw[:n])
+        counts = (head % np.uint64(self.m)).astype(np.intp) + 1
+        live, at, flat = self._live(counts)
+        outputs = _mix(raw.ravel().take(flat))
+        mask = self._mask(live, at, outputs)
         count_limit, cell_limit = self.limits
         rejected = np.zeros(size, bool)
         if count_limit is not None:
-            rejected |= (raw[:n] >= count_limit).any(axis=0)
-        if cell_limit is not None and (raw[n:] >= cell_limit).any():
-            local = np.vstack([counts, np.ones((1, size), np.intp)])[self.members]
-            window = np.arange(self.draws)[:, None] < n + local.prod(axis=1).sum(axis=0)
-            rejected |= ((raw >= cell_limit) & window)[n:].any(axis=0)
+            rejected |= (head >= count_limit).any(axis=0)
+        if cell_limit is not None:
+            rejected[flat[outputs >= cell_limit] % size] = True
         return counts.T.tolist(), rejected.tolist(), mask
 
     def systematic_block(self, counts, cells: int, start: int, size: int):
@@ -486,13 +535,13 @@ class _BlockLayout:
         value index is its digit.  Digits whose place value exceeds the
         block's last number are 0, and are not computed: every place value
         computed is at most that number, so it fits a uint64."""
-        base = len(self.ranks) - 1
-        raw = np.zeros((self.draws, size), np.uint64)
+        raw = np.zeros((self.n + cells, size), np.uint64)
         raw[:self.n] = np.array(counts, np.uint64)[:, None] - np.uint64(1)
         numbers = np.arange(size, dtype=np.uint64) + np.uint64(start)
+        base = len(self.ranks)
         last, place, row = start + size - 1, 1, self.n + cells - 1
         while place <= last:
-            raw[row] = numbers // np.uint64(place) % np.uint64(base)
+            raw[row] = numbers // np.uint64(place) % self.values
             place, row = place * base, row - 1
         return self.judge(raw)[1]
 
@@ -526,16 +575,24 @@ class _BlockLayout:
                 | self.formula_holds(mask, formula.consequent))
 
 
+def _block_size(layout: _BlockLayout, walked: int) -> int:
+    """The size of the block after the first `walked` candidates judged in
+    blocks: it ends where they number max(`_FIRST_BLOCK`, 2 * walked), cut
+    at the layout's `max_block`.  So blocks double from `_FIRST_BLOCK`, and
+    a search that stops at candidate k of its blocks (counting from 0) has
+    judged at most max(`_FIRST_BLOCK`, 2k) candidates in blocks."""
+    return min(max(_FIRST_BLOCK, 2 * walked) - walked, layout.max_block)
+
+
 def _random_candidates(graph: DependencyGraph, bounds: SearchBounds, judge):
     """`(counts, cells, verdict)` for indices 0 .. sample_count-1 of the random
     stream, in order, with `cells` as for `_draw`.
 
     After the first `_PER_GAME_PREFIX` indices, candidates come in blocks
-    of doubling size, up to `_BLOCK_ELEMENTS` padded elements, and `verdict`
-    is the candidate's entry of `judge(layout, mask)`.  It is None for a
-    candidate to judge per game: one in the prefix, one whose draws were
-    rejected, and every candidate of a graph that `_BlockLayout.of` leaves
-    to per-game judging.
+    (`_block_size`), and `verdict` is the candidate's entry of
+    `judge(layout, mask)`.  It is None for a candidate to judge per game:
+    one in the prefix, one whose draws were rejected, and every candidate
+    of a graph that `_BlockLayout.of` leaves to per-game judging.
     """
     prefix = min(_PER_GAME_PREFIX, bounds.sample_count)
     for index in range(prefix):
@@ -545,9 +602,9 @@ def _random_candidates(graph: DependencyGraph, bounds: SearchBounds, judge):
         for index in range(prefix, bounds.sample_count):
             yield (*_draw(graph, bounds, index), None)
         return
-    start, size = prefix, _PER_GAME_PREFIX
+    start = prefix
     while start < bounds.sample_count:
-        size = min(size, layout.max_block, bounds.sample_count - start)
+        size = min(_block_size(layout, start - prefix), bounds.sample_count - start)
         counts, rejected, mask = layout.random_block(bounds.seed, start, size)
         for index, count, redraw, verdict in zip(itertools.count(start), counts, rejected,
                                                  judge(layout, mask)):
@@ -557,7 +614,6 @@ def _random_candidates(graph: DependencyGraph, bounds: SearchBounds, judge):
                 yield (tuple(count), functools.partial(_drawn_cells, graph, bounds, index),
                        verdict)
         start += size
-        size *= 2
 
 
 def _count_vectors(n: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -603,12 +659,12 @@ def _systematic_candidates(graph: DependencyGraph, bounds: SearchBounds, judge):
 
     Within a shape, assignment numbers 0 .. V^T - 1 (V payoff values, T
     cells) are judged in blocks, and `verdict` is the candidate's entry of
-    `judge(layout, mask)`.  Block sizes double from `_PER_GAME_PREFIX` over
-    the whole walk, each block cut at the end of its shape, at the layout's
-    `max_block` and at the candidates the remaining profile budget admits.
-    The first candidate past the budget comes unjudged (verdict None), as
-    does every candidate of a graph that `_BlockLayout.of` leaves to
-    per-game judging.
+    `judge(layout, mask)`.  A block's size (`_block_size`) counts the
+    candidates of the whole walk before it, and it is cut at the end of its
+    shape and at the candidates the remaining profile budget admits.  The
+    first candidate past the budget comes unjudged (verdict None), as does
+    every candidate of a graph that `_BlockLayout.of` leaves to per-game
+    judging.
     """
     layout = _BlockLayout.of(graph, bounds)
     if layout is None:
@@ -617,13 +673,13 @@ def _systematic_candidates(graph: DependencyGraph, bounds: SearchBounds, judge):
         return
     base = len(bounds.payoff_values)
     budget = bounds.max_profiles
-    grow = _PER_GAME_PREFIX
+    walked = 0
     for counts in _count_vectors(len(graph.players), bounds.max_strategies):
         sizes = _table_sizes(graph, counts)
         total, cost = base ** sum(sizes), math.prod(counts)
         start = 0
         while start < total:
-            size = min(grow, layout.max_block, total - start, budget // cost)
+            size = min(_block_size(layout, walked), total - start, budget // cost)
             if size == 0:
                 yield counts, functools.partial(_assignment_cells, start, base, sizes), None
                 return
@@ -633,7 +689,7 @@ def _systematic_candidates(graph: DependencyGraph, bounds: SearchBounds, judge):
                        verdict)
             budget -= size * cost
             start += size
-            grow *= 2
+            walked += size
 
 
 def _equilibria(graph: DependencyGraph, counts, cells, ranks):

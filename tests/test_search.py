@@ -28,6 +28,7 @@ from gamedep.equilibrium import DEFAULT_PROFILE_CAP, equilibria, is_equilibrium
 from gamedep.parser import ParseError, parse_formula, print_game, print_graph
 from gamedep.prover import Hypotheses, saturate
 from gamedep.search import (
+    _FIRST_BLOCK,
     _GOLDEN,
     _PER_GAME_PREFIX,
     MASK64,
@@ -43,6 +44,7 @@ from gamedep.search import (
     _build,
     _stream,
     _systematic_draws,
+    _table_sizes,
     builtin_game,
     builtin_graph,
     find_counterexample,
@@ -712,6 +714,9 @@ class TestSystematicBlocks:
         assert calls
 
     def test_budgets_stop_mid_shape_and_mid_block(self, monkeypatch):
+        # blocks of at most 16 candidates (19 draws each), so that budgets
+        # run out past the first block of a shape
+        monkeypatch.setattr(gamedep.search, "_BLOCK_ELEMENTS", 19 * 16)
         calls = _record_blocks(monkeypatch)
         graph = builtin_graph("gamma3")
         formula = parse_formula("(a |> c) -> a,b |> c", graph)
@@ -724,6 +729,7 @@ class TestSystematicBlocks:
             # no block runs past the candidates the budget admits
             assert outcome.cap_exceeded
             assert sum(size for _, _, size, _ in calls) == outcome.games_examined
+            assert all(size <= cap == 16 for _, _, size, cap in calls)
             counts, start, size, _ = calls[-1]
             shape = 2 ** sum(math.prod(counts[graph.index(q)] for q in graph.local_order(p))
                              for p in graph.players)
@@ -819,6 +825,142 @@ class TestSystematicBlocks:
         assert (top >= layout.limits[0]).any() and (top >= layout.limits[1]).any()
         assert (counts == low_counts).all() and (mask == low_mask).all()
         assert mask.any()
+
+
+def _record_random_blocks(monkeypatch):
+    """`(start, size, max_block)` of every random block judged."""
+    calls = []
+    real = _BlockLayout.random_block
+
+    def record(layout, seed, start, size):
+        calls.append((start, size, layout.max_block))
+        return real(layout, seed, start, size)
+    monkeypatch.setattr(_BlockLayout, "random_block", record)
+    return calls
+
+
+class TestBlockSchedule:
+    """Blocks fill the first `_FIRST_BLOCK` candidates judged in blocks, then
+    each doubles the candidates judged so far, within the layout's cap, the
+    end of a shape and the profile budget."""
+
+    def test_random_blocks_follow_the_prefix_and_double(self, monkeypatch):
+        calls = _record_random_blocks(monkeypatch)
+        graph = builtin_graph("gamma1")
+        bounds = SearchBounds(seed=3, sample_count=1000)
+        assert _BlockLayout.of(graph, bounds).max_block == 809
+        formula = parse_formula("a |> a", graph)   # holds: the whole stream is judged
+        assert find_counterexample(graph, formula, bounds) == NoneWithinBounds(1000)
+        first = _FIRST_BLOCK
+        assert [start for start, _, _ in calls] == list(itertools.accumulate(
+            [_PER_GAME_PREFIX, first, first, 2 * first, 4 * first]))
+        assert [size for _, size, _ in calls] == [first, first, 2 * first, 4 * first,
+                                                  1000 - _PER_GAME_PREFIX - 8 * first]
+
+    @pytest.mark.parametrize("elements, cap", [(1 << 16, 89), (40 * 729, 40)])
+    def test_random_blocks_stop_growing_at_the_cap(self, elements, cap, monkeypatch):
+        # gamma5 at three strategies: 729 profiles per candidate
+        monkeypatch.setattr(gamedep.search, "_BLOCK_ELEMENTS", elements)
+        calls = _record_random_blocks(monkeypatch)
+        graph = builtin_graph("gamma5")
+        atoms = [Atom.of("a", "d")]
+        bounds = SearchBounds(seed=3, sample_count=400)
+        assert fuzz_soundness(graph, atoms, bounds) == fuzz_by_games(graph, atoms, bounds)
+        sizes = [size for _, size, _ in calls]
+        assert all(limit == cap for _, _, limit in calls)
+        assert sizes[0] == min(_FIRST_BLOCK, cap) and max(sizes) == cap
+        assert sum(sizes) == 400 - _PER_GAME_PREFIX
+
+    def test_systematic_blocks_double_across_shapes(self, monkeypatch):
+        calls = _record_blocks(monkeypatch)
+        graph = builtin_graph("pair")
+        formula = parse_formula("a |> a", graph)
+        # shapes of 4, 16, 16 and 256 candidates at 1, 2, 2 and 4 profiles:
+        # blocks end where the walk reaches 64 candidates or doubles, and
+        # at the end of each shape
+        bounds = SearchBounds(max_strategies=2, max_profiles=10 ** 6, mode="systematic")
+        assert find_counterexample(graph, formula, bounds) == NoneWithinBounds(292)
+        assert [size for _, _, size, _ in calls] == [4, 16, 16, 36, 72, 144, 4]
+        # 300 profiles: 68 in the first three shapes, then 58 games of 4
+        calls.clear()
+        bounds = SearchBounds(max_strategies=2, max_profiles=300, mode="systematic")
+        assert (find_counterexample(graph, formula, bounds)
+                == NoneWithinBounds(4 + 16 + 16 + 58, cap_exceeded=True))
+        assert [size for _, _, size, _ in calls] == [4, 16, 16, 36, 22]
+
+    def test_a_search_failing_at_index_k_judged_at_most_twice_k_in_blocks(self, monkeypatch):
+        calls = _record_random_blocks(monkeypatch)
+        graph = builtin_graph("pair")
+        formula = Atom.of("a", "b")   # fails only on a tie in b's best responses
+        late = 0
+        for values, seed in itertools.product((32, 128), range(10)):
+            calls.clear()
+            bounds = SearchBounds(max_strategies=2, payoff_values=range(values), seed=seed,
+                                  sample_count=2000)
+            game = find_counterexample(graph, formula, bounds)
+            k = next(i for i in range(2000) if random_game(graph, bounds, i) == game)
+            judged = sum(size for _, size, _ in calls)
+            assert judged <= max(_FIRST_BLOCK, 2 * (k - _PER_GAME_PREFIX))
+            late += k >= _PER_GAME_PREFIX + _FIRST_BLOCK
+        assert late >= 5
+
+
+class TestLiveCellDraws:
+    """Random blocks compute the strategy counts first and then only the
+    outputs each candidate reads: its window of cell draws."""
+
+    @pytest.mark.parametrize("name, most, values", [
+        ("gamma1", 3, (0, 1, 2)), ("gamma4", 2, (4, 0, 3, 1, 2)), ("gamma5", 3, (1, 0)),
+        ("triangle", 4, (Fraction(1, 2), -1, 0))])
+    def test_blocks_of_any_size_read_the_same_draws(self, name, most, values):
+        graph = builtin_graph(name)
+        bounds = SearchBounds(max_strategies=most, payoff_values=values, seed=11)
+        layout = _BlockLayout.of(graph, bounds)
+        start, total = 8, min(90, layout.max_block)
+        counts, rejected, mask = layout.random_block(bounds.seed, start, total)
+        parts, at = [], start
+        for size in (1, 7, 13, 40, total - 61):
+            parts.append(layout.random_block(bounds.seed, at, size))
+            at += size
+        assert counts == [count for part in parts for count in part[0]]
+        assert rejected == [flag for part in parts for flag in part[1]] == [False] * total
+        assert (mask == np.hstack([part[2] for part in parts])).all()
+        labels = [str(i) for i in range(most)]
+        grid = list(itertools.product(labels, repeat=len(graph.players)))
+        for index, count, column in zip(itertools.count(start), counts, mask.T):
+            game = game_by_draws(graph, bounds, index)
+            assert count == [len(game.strategies[p]) for p in graph.players]
+            assert {grid[i] for i in np.flatnonzero(column)} == set(equilibria(game))
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_rejected_outputs_count_only_inside_the_window(self, inside, monkeypatch):
+        # bound 3 rejects exactly the output 2^64 - 1; candidate 20's first
+        # payoff cell is inside its window, and a draw past its last cell
+        # but within the padded block is outside it
+        graph = builtin_graph("gamma1")
+        index, n = 20, len(graph.players)
+        layout = _BlockLayout.of(graph, SearchBounds(max_strategies=3, payoff_values=(0, 1, 2)))
+        for draw in ([n] if inside else range(layout.draws - 1, n, -1)):
+            bounds = SearchBounds(max_strategies=3, payoff_values=(0, 1, 2),
+                                  seed=_seed_rejecting(index, draw), sample_count=60)
+            window = n + sum(_table_sizes(graph, _draw(graph, bounds, index)[0]))
+            if (draw < window) == inside:
+                break
+        assert (draw < window) == inside
+        assert layout.random_block(bounds.seed, 8, 40)[1][index - 8] == inside
+
+        drawn = []
+        real = gamedep.search._draw
+        monkeypatch.setattr(gamedep.search, "_draw",
+                            lambda g, b, i: drawn.append(i) or real(g, b, i))
+        for text in ("a |> a", "(a |> d) -> b,c |> d", "b |> c", "a,c |> b"):
+            formula = parse_formula(text, graph)
+            assert (find_counterexample(graph, formula, bounds)
+                    == counterexample_by_games(graph, formula, bounds))
+            if text == "a |> a":  # never fails: blocks draw only rejected candidates
+                assert drawn == [*range(_PER_GAME_PREFIX), *[index] * inside]
+        atoms = [Atom.of("a", "d")]
+        assert fuzz_soundness(graph, atoms, bounds) == fuzz_by_games(graph, atoms, bounds)
 
 
 class TestFuzzCover:
@@ -923,7 +1065,8 @@ class TestResourceGuards:
         bounds = SearchBounds(seed=9)
         assert find_counterexample(graph, FALSUM, bounds) == random_game(graph, bounds, 0)
         bounds = SearchBounds(seed=9, sample_count=_PER_GAME_PREFIX)
-        assert fuzz_soundness(graph, [Atom.of("a", "d")], bounds).games_tested == 8
+        assert (fuzz_soundness(graph, [Atom.of("a", "d")], bounds).games_tested
+                == _PER_GAME_PREFIX)
 
     def test_enumeration_cap_is_checked_before_any_cell_is_drawn(self, monkeypatch):
         players = [f"p{i}" for i in range(12)]
