@@ -318,13 +318,15 @@ def _drawn_cells(graph: DependencyGraph, bounds: SearchBounds, index: int):
 # --- judging blocks of the random stream as arrays ----------------------------
 
 # The first candidates of a random search are judged per game, so a search
-# that stops among them pays nothing for the block layout (0.1-0.2 ms on
-# gamma1-gamma5, about as much as judging a few games) or for judging
-# candidates it never reaches.
+# that stops among them pays nothing for the block layout (0.11-0.26 ms on
+# gamma1, gamma4 and gamma5, as much as judging one to three games) or for
+# judging candidates it never reaches.  With 3 here, searches failing at
+# index 3-13 ran up to 2.2 times slower.
 _PER_GAME_PREFIX = 8
 # The first block holds this many candidates.  A block costs a fixed
-# 0.1-0.2 ms and 1.4-5.1 us per candidate on gamma1, gamma4 and gamma5
-# (2-vCPU VM), so at 40-70 candidates both halves are about equal.
+# 0.07-0.15 ms plus 0.9-4.7 us per candidate on gamma1, gamma4 and gamma5
+# (default bounds, 2-vCPU VM, in process), so at 64 candidates both halves
+# are of the same order.
 _FIRST_BLOCK = 64
 # A block holds at most this many padded elements: its candidates times the
 # larger of a candidate's padded profile grid and its draws.

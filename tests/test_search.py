@@ -932,22 +932,22 @@ class TestLiveCellDraws:
             assert count == [len(game.strategies[p]) for p in graph.players]
             assert {grid[i] for i in np.flatnonzero(column)} == set(equilibria(game))
 
-    @pytest.mark.parametrize("inside", [True, False])
-    def test_rejected_outputs_count_only_inside_the_window(self, inside, monkeypatch):
-        # bound 3 rejects exactly the output 2^64 - 1; candidate 20's first
-        # payoff cell is inside its window, and a draw past its last cell
-        # but within the padded block is outside it
+    def test_rejected_outputs_past_the_window_are_not_read(self, monkeypatch):
+        # bound 3 rejects exactly the output 2^64 - 1.  At candidate 20's
+        # first payoff cell it is inside the candidate's window, which is
+        # redrawn (test_rejected_draws_are_redrawn); past its last cell but
+        # within the padded block it is never read
         graph = builtin_graph("gamma1")
-        index, n = 20, len(graph.players)
-        layout = _BlockLayout.of(graph, SearchBounds(max_strategies=3, payoff_values=(0, 1, 2)))
-        for draw in ([n] if inside else range(layout.draws - 1, n, -1)):
-            bounds = SearchBounds(max_strategies=3, payoff_values=(0, 1, 2),
+        index, n, values = 20, len(graph.players), (0, 1, 2)
+        layout = _BlockLayout.of(graph, SearchBounds(max_strategies=3, payoff_values=values))
+        rejected = lambda seed: layout.random_block(seed, 8, 40)[1][index - 8]
+        assert rejected(_seed_rejecting(index, n))
+        for draw in range(layout.draws - 1, n, -1):
+            bounds = SearchBounds(max_strategies=3, payoff_values=values,
                                   seed=_seed_rejecting(index, draw), sample_count=60)
-            window = n + sum(_table_sizes(graph, _draw(graph, bounds, index)[0]))
-            if (draw < window) == inside:
+            if draw >= n + sum(_table_sizes(graph, _draw(graph, bounds, index)[0])):
                 break
-        assert (draw < window) == inside
-        assert layout.random_block(bounds.seed, 8, 40)[1][index - 8] == inside
+        assert draw > n and not rejected(bounds.seed)
 
         drawn = []
         real = gamedep.search._draw
@@ -957,8 +957,8 @@ class TestLiveCellDraws:
             formula = parse_formula(text, graph)
             assert (find_counterexample(graph, formula, bounds)
                     == counterexample_by_games(graph, formula, bounds))
-            if text == "a |> a":  # never fails: blocks draw only rejected candidates
-                assert drawn == [*range(_PER_GAME_PREFIX), *[index] * inside]
+            if text == "a |> a":  # never fails: no candidate of a block is drawn
+                assert drawn == list(range(_PER_GAME_PREFIX))
         atoms = [Atom.of("a", "d")]
         assert fuzz_soundness(graph, atoms, bounds) == fuzz_by_games(graph, atoms, bounds)
 
