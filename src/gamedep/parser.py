@@ -5,8 +5,8 @@ All formats are plain ASCII and line oriented: `#` starts a comment that
 runs to the end of the line and blank lines are ignored.  Every parse
 error carries the 1-based line number (formula errors also carry a
 column).  Printing is canonical, and parsing a printed value gives back
-an equal value.  A document is read in one pass over its lines; a number
-of more than `sys.get_int_max_str_digits()` digits is a located error.
+an equal value.  A number of more than `sys.get_int_max_str_digits()`
+digits is a located error.
 
 Graphs::
 
@@ -24,8 +24,19 @@ Faults are reported in document order within four groups, first to last:
 graph lines, strategies lines, a player without strategies (at the players
 line), payoff lines.  A payoff line must assign exactly the closed
 neighbourhood of its player, in any order; unlisted cells default to 0.
-Parsing a payoff line costs one dict lookup per assignment, in a table of
-the valid `w=label` tokens of the player's closed neighbourhood, and one
+
+A game document is read by one of two readers.  When its payoff lines are
+written as `print_game` writes them (each player's table complete or
+absent, players in declaration order, cells in row-major order, single
+spaces, no comments, a newline after the last line), the lines before
+them are read by the graph reader's one pass, and each payoff line is
+matched against its expected prefix without being split; each distinct
+value token is parsed once.  Anything else from the first payoff line on
+(a comment, a tab, `\r`, a doubled space, reordered, missing or extra
+lines, a bad value) sends the whole document to the per-line reader, the
+only one that reports errors.  It reads the document in one pass over its
+lines, then costs one dict lookup per payoff assignment, in a table of the
+valid `w=label` tokens of the player's closed neighbourhood, and one
 `Fraction` per distinct value token.  A line that misses the table is
 diagnosed by the full per-line checks, in the order: line shape, declared
 player, assignment syntax, repeated player, locality, labels; then a
@@ -61,9 +72,11 @@ LeftMonotonicity <p> add={..}
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
+from itertools import product
 
 from .core import (
     FALSUM,
@@ -238,8 +251,12 @@ _ASSIGNMENT_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)=([A-Za-z0-9_]+)\Z")
 
 
 def parse_game(text: str) -> Game:
-    graph, players_line, strategies_lines, payoff_lines = _read_document(text, game=True)
+    game = _read_printed_game(text)
+    return _read_game_by_lines(text) if game is None else game
 
+
+def _read_strategies(graph: DependencyGraph, players_line: int,
+                     strategies_lines: list[tuple[int, list[str]]]) -> dict[str, tuple[str, ...]]:
     strategies: dict[str, tuple[str, ...]] = {}
     for number, tokens in strategies_lines:
         if len(tokens) < 3:
@@ -249,17 +266,87 @@ def parse_game(text: str) -> Game:
             raise ParseError(number, f"strategies for undeclared player {player!r}")
         if player in strategies:
             raise ParseError(number, f"duplicate strategies line for player {player!r}")
-        labels = []
+        labels: dict[str, None] = {}  # ordered, with O(1) membership
         for label in tokens[2:]:
             _checked(number, check_label, label)
             if label in labels:
                 raise ParseError(number, f"duplicate strategy label {label!r}")
-            labels.append(label)
+            labels[label] = None
         strategies[player] = tuple(labels)
 
     for player in graph.players:
         if player not in strategies:
             raise ParseError(players_line, f"player {player!r} has no strategies line")
+    return strategies
+
+
+def _read_printed_game(text: str) -> Game | None:
+    """The game of `text` if its payoff lines are written as `print_game`
+    writes them, else None; never raises.
+
+    The lines before the first payoff line are read by `_read_document`.
+    Then each player in declaration order has no payoff line or one per cell
+    of its table, in row-major order, each exactly `payoff p w1=l1 ... wk=lk
+    v` with single spaces and a rational `v`, and a newline ends the last.
+    Each line is matched against its expected prefix without being split,
+    and each distinct value token is parsed once.
+    """
+    start = text.find("\npayoff ") + 1
+    body = text[start:]
+    # print_game writes none of these, and a scan for them is far cheaper
+    # than matching every line first
+    if not start or any(map(body.__contains__, ("#", "\t", "\r", "  "))):
+        return None
+    try:
+        graph, players_line, strategies_lines, payoff_lines = \
+            _read_document(text[:start], game=True)
+        strategies = _read_strategies(graph, players_line, strategies_lines)
+    except ParseError:
+        return None
+    lines = body.split("\n")
+    # A payoff line the search missed (an indented one, say) is in the
+    # header; print_game's text ends in a newline, so its last split is empty.
+    if payoff_lines or lines.pop():
+        return None
+    values: dict[str, Fraction] = {}
+    payoffs: dict[str, dict[tuple[str, ...], Fraction]] = {}
+    position = 0
+    for player in graph.players:
+        head = f"payoff {player} "
+        if position == len(lines) or not lines[position].startswith(head):
+            continue  # print_game writes no line for an empty table
+        local = graph.local_order(player)
+        count = math.prod(len(strategies[w]) for w in local)
+        # The table must fit in the lines left, checked before any prefix is
+        # built: a short document may declare a table far larger than itself.
+        if count > len(lines) - position:
+            return None
+        chunk = lines[position:position + count]
+        position += count
+        # The prefix of a cell is " ".join of its assignments, with `head`
+        # and the space before the value folded into the first and last.
+        columns = [[f"{w}={label}" for label in strategies[w]] for w in local]
+        columns[0] = [head + assignment for assignment in columns[0]]
+        columns[-1] = [assignment + " " for assignment in columns[-1]]
+        # Prefixes are built lazily, so a mismatch stops before the rest.
+        if not all(map(str.startswith, chunk, map(" ".join, product(*columns)))):
+            return None
+        tokens = list(map(str.removeprefix, chunk, map(" ".join, product(*columns))))
+        try:
+            for token in set(tokens).difference(values):
+                values[token] = parse_rational(token)
+        except ParseError:
+            return None
+        keys = product(*(strategies[w] for w in local))
+        payoffs[player] = dict(zip(keys, map(values.__getitem__, tokens)))
+    if position != len(lines):
+        return None
+    return Game(graph, strategies, payoffs)
+
+
+def _read_game_by_lines(text: str) -> Game:
+    graph, players_line, strategies_lines, payoff_lines = _read_document(text, game=True)
+    strategies = _read_strategies(graph, players_line, strategies_lines)
 
     # Per player, every valid `w=label` token of its closed neighbourhood maps
     # to (position in local_order, label).  A line whose k assignment tokens

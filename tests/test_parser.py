@@ -1,12 +1,15 @@
 """Text formats: graphs, games, formulas, and their round trips."""
 
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gamedep.core import FALSUM, Atom, Implication
+from gamedep import parser
+from gamedep.core import FALSUM, Atom, DependencyGraph, Implication
 from gamedep.parser import (
     MAX_FORMULA_DEPTH,
     LocalityError,
@@ -193,6 +196,7 @@ LINE_FAULTS = {
     "malformed rational": (lambda game, tokens: tokens[:-1] + ["1.5"], "malformed rational"),
     "non-ASCII digit": (lambda game, tokens: tokens[:-1] + ["٣"], "malformed rational"),
     "zero denominator": (lambda game, tokens: tokens[:-1] + ["1/0"], "zero denominator"),
+    "value alone": (lambda game, tokens: tokens[-1:], "unknown directive"),
     "undeclared player": (
         lambda game, tokens: tokens[:1] + ["z"] + tokens[2:], "undeclared player"),
     "no assignments or value": (
@@ -201,6 +205,49 @@ LINE_FAULTS = {
         lambda game, tokens: tokens[:2] + [tokens[2].split("=")[0] + "=9"] + tokens[3:-1]
         + [f"{_outside_player(game, tokens[1])}=0"] + tokens[-1:],
         "closed neighbourhood"),
+}
+
+
+def _equal_value(line, form):
+    """A payoff line with its value written in another form of equal value."""
+    rest, value = line.rsplit(" ", 1)
+    sign, digits = ("-", value[1:]) if value.startswith("-") else ("", value)
+    numerator, _, denominator = digits.partition("/")
+    written = {"2/4": f"{sign}{2 * int(numerator)}/{2 * int(denominator or 1)}",
+               "007": f"{sign}00{digits}",
+               "-0": "-0" if value == "0" else value}[form]
+    return f"{rest} {written}"
+
+
+def _replaced(lines, i, line):
+    return "\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n"
+
+
+def _inserted(lines, i, line):
+    return "\n".join(lines[:i] + [line] + lines[i:]) + "\n"
+
+
+def _line_moved_last(lines, i):
+    """An edge or strategies line moved last, with no newline after it."""
+    first_payoff = next(k for k, line in enumerate(lines) if line.startswith("payoff "))
+    moved = 1 + i % (first_payoff - 1)
+    return "\n".join(lines[:moved] + lines[moved + 1:] + [lines[moved]])
+
+
+# Printed documents that the per-line reader still accepts, each changed in
+# one way at the payoff line `lines[i]`; they parse to the printed game.
+PRINTED_VARIANTS = {
+    "doubled space": lambda lines, i: _replaced(lines, i, "  ".join(lines[i].rsplit(" ", 1))),
+    "trailing space": lambda lines, i: _replaced(lines, i, lines[i] + " "),
+    "tab": lambda lines, i: _replaced(lines, i, lines[i].replace(" ", "\t", 1)),
+    "CRLF line ends": lambda lines, i: "\r\n".join(lines) + "\r\n",
+    "comment line": lambda lines, i: _inserted(lines, i, "# a comment"),
+    "comment at the end of a line": lambda lines, i: _replaced(lines, i, lines[i] + " # a comment"),
+    "blank line": lambda lines, i: _inserted(lines, i, ""),
+    "edge or strategies line last": _line_moved_last,
+    "value 2/4": lambda lines, i: _replaced(lines, i, _equal_value(lines[i], "2/4")),
+    "value -0": lambda lines, i: _replaced(lines, i, _equal_value(lines[i], "-0")),
+    "value 007": lambda lines, i: _replaced(lines, i, _equal_value(lines[i], "007")),
 }
 
 
@@ -249,6 +296,76 @@ class TestAgainstLineOracle:
         error = _same_error(_join_document(head, payoff))
         assert "duplicate payoff entry" in str(error)
         assert error.line == len(head) + len(payoff)
+
+    @pytest.mark.parametrize("variant", PRINTED_VARIANTS)
+    @given(game=games(max_players=4, values=SIGNED_VALUES), data=st.data())
+    def test_variants_of_printed_documents(self, variant, game, data):
+        lines = print_game(game).splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("payoff "))
+        text = PRINTED_VARIANTS[variant](lines, data.draw(st.integers(first, len(lines) - 1)))
+        assert parse_game(text) == parse_game_by_lines(text) == game
+
+    @given(games(max_players=4, values=SIGNED_VALUES))
+    def test_faulty_last_line_without_newline(self, game):
+        text = print_game(game) + "bogus"
+        error = _same_error(text)
+        assert "unknown directive" in str(error)
+        assert error.line == text.count("\n") + 1
+
+    @given(data=st.data(), drop_cells=st.booleans())
+    def test_dropped_cells_and_names_that_prefix_each_other(self, data, drop_cells):
+        game = data.draw(games(graph=data.draw(_parser_graphs()), values=SIGNED_VALUES,
+                               drop_cells=drop_cells))
+        text = print_game(game)
+        assert parse_game(text) == parse_game_by_lines(text) == game
+
+
+@st.composite
+def _parser_graphs(draw):
+    """A generated graph, possibly with its players renamed a, ab, abb, ...
+    so that each name is a prefix of the next."""
+    graph = draw(graphs(max_players=4))
+    if not draw(st.booleans()):
+        return graph
+    names = {p: "a" + "b" * i for i, p in enumerate(graph.players)}
+    return DependencyGraph.of(names.values(), [(names[u], names[v]) for u, v in graph.edges])
+
+
+@contextmanager
+def _printed_form_only():
+    """Fail if `parse_game` hands its document to the per-line reader."""
+    def refuse(text):
+        raise AssertionError("a printed document reached the per-line reader")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parser, "_read_game_by_lines", refuse)
+        yield
+
+
+class TestPrintedForm:
+    def test_builtins(self):
+        for name in ["coordination", "table2", "parity", "consensus", "gamma2_rps",
+                     "gamma1_mean_mod(3)", "gamma1_mean_mod(5)"]:
+            game = builtin_game(name)
+            with _printed_form_only():
+                assert parse_game(print_game(game)) == game
+
+    @given(data=st.data())
+    def test_generated_games(self, data):
+        game = data.draw(games(graph=data.draw(_parser_graphs()), values=SIGNED_VALUES))
+        with _printed_form_only():
+            assert parse_game(print_game(game)) == game
+
+    def test_short_document_declaring_a_huge_table(self):
+        # A 3-player path with 3,000 labels each: b's table has 2.7e10 cells,
+        # the document (about 50 KB) one payoff line.
+        labels = " ".join(f"s{i}" for i in range(3000))
+        text = ("players a b c\nedge a b\nedge b c\n"
+                + "".join(f"strategies {p} {labels}\n" for p in "abc")
+                + "payoff b a=s0 b=s0 c=s0 1\n")
+        start = time.perf_counter()
+        game = parse_game(text)
+        assert time.perf_counter() - start < 0.5
+        assert game.payoffs == {"b": {("s0", "s0", "s0"): 1}}
 
 
 class TestRationals:
