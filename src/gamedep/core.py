@@ -265,6 +265,9 @@ class Game:
     ``graph.local_order(player)``; missing entries (or a missing table)
     mean payoff 0.  Keying tables by the closed neighbourhood alone is
     what enforces locality: a table cell cannot mention a distant player.
+    `_cache` holds data derived from the game, ignored by equality and
+    repr: its equilibria once enumerated, and the equilibrium join's integer
+    cells when the printed-form reader built it.
     """
 
     graph: DependencyGraph

@@ -8,18 +8,22 @@ and Singh, *Graphical Models for Game Theory*, 2001).
 Every game reaches the join in one representation: a strategy count per
 player and, for each constrained player, its payoff values in row-major
 order over ``graph.local_order(player)`` (the last local player varies
-fastest), as integers.  A parsed `Game` supplies its table cells scaled per
+fastest), as integers.  A `Game` supplies its table cells scaled per
 player by the lcm of that table's denominators, missing cells counting as
 0; the scale is positive and one player's cells are only compared with each
-other, so the order is the order of the values.  The search supplies the
-rank of each drawn value in ``sorted(payoff_values)``, which orders cells
-exactly as the values do, so negative values and unsorted value lists need
-no special case.  From each list `_best_responses` builds a flat table:
-``best[x]`` is true iff cell x is maximal along the player's own axis (ties
-are all best).  The join assigns strategy indices by backtracking over the
-players in declaration order, builds each constraint's cell index as its
-members are assigned, and checks the constraint once the last member is, so
-equilibria come out in lexicographic order.  Games with more than
+other, so the order is the order of the values.  A game read from a
+document written as `print_game` writes it carries these cells from the
+reader, which sees each table's value tokens in this order and scales each
+distinct token once; `_cells` computes them for any other game.  The
+search supplies the rank of each drawn value in ``sorted(payoff_values)``,
+which orders cells exactly as the values do, so negative values and
+unsorted value lists need no special case.  From each list
+`_best_responses` builds a flat table: ``best[x]`` is true iff cell x is
+maximal along the player's own axis (ties are all best).  The join assigns
+strategy indices by backtracking over the players in declaration order,
+builds each constraint's cell index as its members are assigned, and checks
+the constraint once the last member is, so equilibria come out in
+lexicographic order.  Games with more than
 `DEFAULT_PROFILE_CAP` profiles are refused before any table is built.
 """
 
@@ -160,15 +164,28 @@ def index_equilibria(graph: DependencyGraph, counts, cells) -> tuple[tuple[int, 
     return _join(counts, _join_plan(graph, counts, cells))
 
 
+def _scaled_integers(values: dict) -> dict:
+    """`values` (`Fraction`s) as integers: each value times the lcm of their
+    denominators, a positive scale that keeps the order."""
+    scale = math.lcm(*{value.denominator for value in values.values()})
+    return {key: value.numerator * (scale // value.denominator)
+            for key, value in values.items()}
+
+
 def _cells(game: Game, player: str):
-    """The player's cells as integers: each value times the lcm of the
-    denominators of its table, a positive scale that keeps the order."""
+    """The player's cells as integers, its table scaled by `_scaled_integers`.
+
+    The printed-form reader has already computed them, once per distinct
+    value token, and carries them as ``game._cache["cells"]``; any other
+    game (`Game.of`, the per-line reader, the built-ins) has them computed
+    here from `payoffs`."""
+    carried = game._cache.get("cells")
+    if carried is not None:
+        return carried.get(player)
     table = game.payoffs.get(player)
     if not table:
         return None
-    scale = math.lcm(*{value.denominator for value in table.values()})
-    scaled = {key: value.numerator * (scale // value.denominator)
-              for key, value in table.items()}
+    scaled = _scaled_integers(table)
     local = game.graph.local_order(player)
     keys = itertools.product(*(game.strategies[w] for w in local))
     return [scaled.get(key, 0) for key in keys]

@@ -31,10 +31,11 @@ absent, players in declaration order, cells in row-major order, single
 spaces, no comments, a newline after the last line), the lines before
 them are read by the graph reader's one pass, and each payoff line is
 matched against its expected prefix without being split; each distinct
-value token is parsed once.  Anything else from the first payoff line on
-(a comment, a tab, `\r`, a doubled space, reordered, missing or extra
-lines, a bad value) sends the whole document to the per-line reader, the
-only one that reports errors.  It reads the document in one pass over its
+value token is parsed once, and the game carries each table's cells as the
+integers the equilibrium join reads.  Anything else from the first payoff
+line on (a comment, a tab, `\r`, a doubled space, reordered, missing or
+extra lines, a bad value) sends the whole document to the per-line reader,
+the only one that reports errors.  It reads the document in one pass over its
 lines, then costs one dict lookup per payoff assignment, in a table of the
 valid `w=label` tokens of the player's closed neighbourhood, and one
 `Fraction` per distinct value token.  A line that misses the table is
@@ -76,7 +77,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import product, tee
 
 from .core import (
     FALSUM,
@@ -91,6 +92,7 @@ from .core import (
     check_label,
     check_player_name,
 )
+from .equilibrium import _scaled_integers
 from .prover import (
     Augmentation,
     ByHypothesis,
@@ -289,7 +291,11 @@ def _read_printed_game(text: str) -> Game | None:
     of its table, in row-major order, each exactly `payoff p w1=l1 ... wk=lk
     v` with single spaces and a rational `v`, and a newline ends the last.
     Each line is matched against its expected prefix without being split,
-    and each distinct value token is parsed once.
+    and each distinct value token is parsed once.  The value tokens are then
+    in the join's row-major order, so the game also carries each table's
+    integer cells (see `equilibrium._cells`): `_scaled_integers` maps each
+    distinct token to its value times the lcm of the table's denominators,
+    and one `map` over the tokens lists the cells.
     """
     start = text.find("\npayoff ") + 1
     body = text[start:]
@@ -310,6 +316,7 @@ def _read_printed_game(text: str) -> Game | None:
         return None
     values: dict[str, Fraction] = {}
     payoffs: dict[str, dict[tuple[str, ...], Fraction]] = {}
+    cells: dict[str, list[int]] = {}
     position = 0
     for player in graph.players:
         head = f"payoff {player} "
@@ -328,20 +335,26 @@ def _read_printed_game(text: str) -> Game | None:
         columns = [[f"{w}={label}" for label in strategies[w]] for w in local]
         columns[0] = [head + assignment for assignment in columns[0]]
         columns[-1] = [assignment + " " for assignment in columns[-1]]
-        # Prefixes are built lazily, so a mismatch stops before the rest.
-        if not all(map(str.startswith, chunk, map(" ".join, product(*columns)))):
+        # Each prefix is joined once, as its line is reached, so a mismatch
+        # stops before the rest are built; `tee` keeps the matched ones for
+        # stripping.
+        checked, stripped = tee(map(" ".join, product(*columns)))
+        if not all(map(str.startswith, chunk, checked)):
             return None
-        tokens = list(map(str.removeprefix, chunk, map(" ".join, product(*columns))))
+        tokens = list(map(str.removeprefix, chunk, stripped))
+        distinct = set(tokens)
         try:
-            for token in set(tokens).difference(values):
+            for token in distinct.difference(values):
                 values[token] = parse_rational(token)
         except ParseError:
             return None
+        scaled = _scaled_integers({token: values[token] for token in distinct})
+        cells[player] = list(map(scaled.__getitem__, tokens))
         keys = product(*(strategies[w] for w in local))
         payoffs[player] = dict(zip(keys, map(values.__getitem__, tokens)))
     if position != len(lines):
         return None
-    return Game(graph, strategies, payoffs)
+    return Game(graph, strategies, payoffs, _cache={"cells": cells})
 
 
 def _read_game_by_lines(text: str) -> Game:

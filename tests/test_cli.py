@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -9,8 +10,17 @@ from pathlib import Path
 
 import pytest
 
+from gamedep import parser
 from gamedep.cli import build_parser, entry, main
-from gamedep.parser import MAX_FORMULA_DEPTH, parse_formula, parse_game, print_formula
+from gamedep.core import Game
+from gamedep.parser import (
+    MAX_FORMULA_DEPTH,
+    parse_formula,
+    parse_game,
+    print_formula,
+    print_game,
+)
+from gamedep.search import SearchBounds, builtin_game, builtin_graph, random_game
 from gamedep.semantics import holds
 
 COORDINATION_DOC = """\
@@ -143,6 +153,67 @@ class TestCheck:
     def test_out_of_scope_player(self, game_file, capsys):
         assert main(["check", game_file, "a |> z"]) == 2
         assert "player 'z' is not in the graph" in capsys.readouterr().err
+
+
+def _complete(game):
+    """The game with every missing cell of every table written out as 0."""
+    graph = game.graph
+    return Game.of(graph, game.strategies, {
+        p: {key: game.payoffs.get(p, {}).get(key, Fraction(0))
+            for key in itertools.product(*(game.strategies[w] for w in graph.local_order(p)))}
+        for p in graph.players})
+
+
+def _affine_document(text):
+    """`text` with every payoff value u written as (3/7)u - 5/2."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("payoff "):
+            head, _, value = line.rpartition(" ")
+            line = f"{head} {Fraction(3, 7) * Fraction(value) - Fraction(5, 2)}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+_SIGNED = SearchBounds(max_strategies=3, seed=20131017,
+                       payoff_values=(-2, Fraction(-1, 2), 0, Fraction(1, 3), 1))
+AFFINE_GAMES = {
+    **{name: builtin_game(name) for name in
+       ["coordination", "table2", "parity", "consensus", "gamma2_rps", "gamma1_mean_mod(3)"]},
+    **{f"{graph}_{index}": random_game(builtin_graph(graph), _SIGNED, index)
+       for graph in ["gamma1", "gamma5"] for index in range(3)},
+}
+
+
+class TestPositiveAffinePayoffs:
+    """A positive affine map of the payoffs keeps every best response, so
+    `ne` prints the same bytes and `check` gives the same verdicts; so does
+    the same document read by the per-line reader."""
+
+    @staticmethod
+    def formulas(players):
+        first, last = players[0], players[-1]
+        atoms = [f"{{}} |> {p}" for p in players] + [f"{first} |> {p}" for p in players]
+        return atoms + [f"{first} |> {last} -> {last} |> {first}", f"!({last} |> {first})"]
+
+    @pytest.mark.parametrize("name", AFFINE_GAMES)
+    def test_ne_and_check(self, name, tmp_path, capsys):
+        game = _complete(AFFINE_GAMES[name])
+        text = print_game(game)
+        documents = {"printed": text, "affine": _affine_document(text),
+                     "commented": text + "# a comment sends it to the per-line reader\n"}
+        assert parser._read_printed_game(documents["affine"]) is not None
+        assert parser._read_printed_game(documents["commented"]) is None
+        answers = {}
+        for kind, document in documents.items():
+            path = tmp_path / f"{kind}.txt"
+            path.write_text(document)
+            answers[kind] = [(main(["ne", str(path)]), capsys.readouterr().out)]
+            for formula in self.formulas(game.graph.players):
+                answers[kind].append((main(["check", str(path), formula]),
+                                      capsys.readouterr().out))
+        assert documents["affine"] != text
+        assert answers["affine"] == answers["printed"] == answers["commented"]
 
 
 class TestProve:

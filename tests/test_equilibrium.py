@@ -1,6 +1,7 @@
 """Equilibrium enumeration and the deviation/splice invariants."""
 
 import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gamedep import parser
 from gamedep.core import (
     Cut,
     DependencyGraph,
@@ -18,6 +20,7 @@ from gamedep.core import (
     splice_profiles,
 )
 from gamedep.equilibrium import (
+    _cells,
     enumerate_equilibria,
     equilibria,
     is_equilibrium,
@@ -181,6 +184,70 @@ class TestAgainstDeviationOracle:
                               payoff_values=(0, 1, 2), seed=20130304)
         for index in range(25):
             assert_matches_oracle(random_game(graph, bounds, index))
+
+
+def assert_reader_cells_match(game):
+    """The printed-form reader's integer cells are the ones `_cells`
+    computes from the payoffs, and its game equals the `Game.of` one."""
+    parsed = parser._read_printed_game(print_game(game))
+    assert parsed is not None
+    carried = parsed._cache["cells"]
+    assert "cells" not in game._cache
+    for player in game.graph.players:
+        assert carried.get(player) == _cells(game, player)
+    assert parsed == game
+    assert repr(parsed) == repr(game)
+    assert enumerate_equilibria(parsed) == enumerate_equilibria(game)
+
+
+class TestCellsOfPrintedDocuments:
+    """Differential: the cells the printed-form reader hands the join
+    against the cells computed from `Game.payoffs`."""
+
+    @given(games(max_players=4, values=SIGNED_VALUES))
+    def test_signed_values(self, game):
+        assert_reader_cells_match(game)
+
+    @given(games(max_players=4, values=MIXED_DENOMINATORS))
+    def test_mixed_denominators(self, game):
+        assert_reader_cells_match(game)
+
+    def test_builtins(self):
+        for name in ["coordination", "table2", "parity", "consensus", "gamma2_rps",
+                     "gamma1_mean_mod(5)"]:
+            assert_reader_cells_match(builtin_game(name))
+
+    def test_spellings_of_one_value(self):
+        # 1/2 and 2/4, -0 and 0, 00001 and 1: one value each, and the
+        # table's scale is the lcm of the reduced denominators, 2
+        spellings = ["1/2", "2/4", "-0", "0", "00001", "-3/6"]
+        text = ("players a b\nedge a b\nstrategies a x y\nstrategies b u v w\n"
+                + "".join(f"payoff a a={la} b={lb} {value}\n" for (la, lb), value
+                          in zip(itertools.product("xy", "uvw"), spellings)))
+        game = parse_game(text)
+        assert game._cache["cells"] == {"a": [1, 1, 0, 0, 2, -1]}
+        values = [Fraction(1, 2), Fraction(1, 2), 0, 0, 1, Fraction(-1, 2)]
+        built = Game.of(game.graph, game.strategies,
+                        {"a": dict(zip(itertools.product("xy", "uvw"), values))})
+        assert _cells(built, "a") == [1, 1, 0, 0, 2, -1]
+        assert game == built and repr(game) == repr(built)
+        assert enumerate_equilibria(game) == enumerate_equilibria(built) == (
+            ("x", "u"), ("x", "w"), ("y", "v"))
+
+    @given(games(max_players=4, values=MIXED_DENOMINATORS, drop_cells=True))
+    def test_dropped_cells_go_to_the_per_line_reader(self, game):
+        text = print_game(game)
+        parsed = parse_game(text)
+        # Game.of drops empty tables, so every table left has a cell
+        incomplete = any(
+            len(table) < math.prod(len(game.strategies[w]) for w in game.graph.local_order(p))
+            for p, table in game.payoffs.items())
+        # a document without payoff lines goes to the per-line reader too
+        per_line = incomplete or not game.payoffs
+        assert (parser._read_printed_game(text) is None) == per_line
+        assert ("cells" not in parsed._cache) == per_line
+        assert parsed == game
+        assert enumerate_equilibria(parsed) == enumerate_equilibria(game)
 
 
 def _mapped_game(game, names, order, relabel, scale):
