@@ -266,8 +266,10 @@ class Game:
     mean payoff 0.  Keying tables by the closed neighbourhood alone is
     what enforces locality: a table cell cannot mention a distant player.
     `_cache` holds data derived from the game, ignored by equality and
-    repr: its equilibria once enumerated, and the equilibrium join's integer
-    cells when the printed-form reader built it.
+    repr: its equilibria once `enumerate_equilibria` has listed them, and
+    the equilibrium join's integer cells when the printed-form reader built
+    it.  The cells are why it is a field: the reader hands them over with
+    the game it builds.
     """
 
     graph: DependencyGraph

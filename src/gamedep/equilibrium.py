@@ -193,20 +193,21 @@ def _cells(game: Game, player: str):
 
 def enumerate_equilibria(game: Game,
                          max_profiles: int = DEFAULT_PROFILE_CAP) -> tuple[StrategyProfile, ...]:
-    """All pure equilibria, lexicographic in player and strategy declaration order."""
+    """All pure equilibria, lexicographic in player and strategy declaration
+    order.  The profile cap is checked on every call; the set is computed
+    once and cached on the instance as ``game._cache["equilibria"]``."""
     check_profile_cap(game.profile_count(), max_profiles)
-    players = game.graph.players
-    labels = [game.strategies[p] for p in players]
-    counts = [len(options) for options in labels]
-    found = index_equilibria(game.graph, counts, [_cells(game, p) for p in players])
-    return tuple(tuple(options[k] for options, k in zip(labels, profile))
-                 for profile in found)
+    cached = game._cache.get("equilibria")
+    if cached is None:
+        players = game.graph.players
+        labels = [game.strategies[p] for p in players]
+        counts = [len(options) for options in labels]
+        found = index_equilibria(game.graph, counts, [_cells(game, p) for p in players])
+        cached = game._cache["equilibria"] = tuple(
+            tuple(options[k] for options, k in zip(labels, profile)) for profile in found)
+    return cached
 
 
 def equilibria(game: Game) -> tuple[StrategyProfile, ...]:
-    """Equilibrium set of the game, computed once and cached on the instance."""
-    cached = game._cache.get("equilibria")
-    if cached is None:
-        cached = enumerate_equilibria(game)
-        game._cache["equilibria"] = cached
-    return cached
+    """`enumerate_equilibria` under the default cap."""
+    return enumerate_equilibria(game)

@@ -5,8 +5,10 @@ All formats are plain ASCII and line oriented: `#` starts a comment that
 runs to the end of the line and blank lines are ignored.  Every parse
 error carries the 1-based line number (formula errors also carry a
 column).  Printing is canonical, and parsing a printed value gives back
-an equal value.  A number of more than `sys.get_int_max_str_digits()`
-digits is a located error.
+an equal value; for games, as `Game.of` normalises them.  `Game.of` drops
+an empty table, which prints no line, so a `Game` built directly with one
+parses back without it, and unequal.  A number of more than
+`sys.get_int_max_str_digits()` digits is a located error.
 
 Graphs::
 
@@ -36,12 +38,10 @@ integers the equilibrium join reads.  Anything else from the first payoff
 line on (a comment, a tab, `\r`, a doubled space, reordered, missing or
 extra lines, a bad value) sends the whole document to the per-line reader,
 the only one that reports errors.  It reads the document in one pass over its
-lines, then costs one dict lookup per payoff assignment, in a table of the
-valid `w=label` tokens of the player's closed neighbourhood, and one
-`Fraction` per distinct value token.  A line that misses the table is
-diagnosed by the full per-line checks, in the order: line shape, declared
-player, assignment syntax, repeated player, locality, labels; then a
-duplicate entry and the value.
+lines and runs every check on every payoff line, in the order: line shape,
+declared player, assignment syntax, repeated player, locality, labels; then
+a duplicate entry and the value, parsing one `Fraction` per distinct value
+token.
 
 Formulas::
 
@@ -360,55 +360,25 @@ def _read_printed_game(text: str) -> Game | None:
 def _read_game_by_lines(text: str) -> Game:
     graph, players_line, strategies_lines, payoff_lines = _read_document(text, game=True)
     strategies = _read_strategies(graph, players_line, strategies_lines)
-
-    # Per player, every valid `w=label` token of its closed neighbourhood maps
-    # to (position in local_order, label).  A line whose k assignment tokens
-    # are all found and fill the k positions passes every per-line check, and
-    # a line that passes them is always found, so a miss is a faulty line.
-    lookups: dict[str, tuple[dict[str, tuple[int, str]], int, dict]] = {}
+    labels = {player: frozenset(options) for player, options in strategies.items()}
     values: dict[str, Fraction] = {}
     payoffs: dict[str, dict[tuple[str, ...], Fraction]] = {}
     for number, tokens in payoff_lines:
-        player = tokens[1] if len(tokens) > 1 else None
-        state = lookups.get(player)
-        if state is None and player in graph:
-            local = graph.local_order(player)
-            lookup = {f"{w}={label}": (position, label)
-                      for position, w in enumerate(local) for label in strategies[w]}
-            payoffs[player] = {}
-            state = lookups[player] = (lookup, len(local), payoffs[player])
-        key = None
-        if state is not None:
-            lookup, width, table = state
-            if len(tokens) == width + 3:
-                cells = [None] * width
-                for token in tokens[2:-1]:
-                    entry = lookup.get(token)
-                    if entry is None:
-                        break
-                    cells[entry[0]] = entry[1]
-                else:
-                    if None not in cells:
-                        key = tuple(cells)
-        if key is None:
-            _payoff_line_error(number, tokens, graph, strategies)
+        player, key = _payoff_entry(number, tokens, graph, labels)
+        table = payoffs.setdefault(player, {})
         if key in table:
             raise ParseError(number, f"duplicate payoff entry for {player}")
         value = values.get(tokens[-1])
         if value is None:
             value = values[tokens[-1]] = parse_rational(tokens[-1], number)
         table[key] = value
-
     return Game(graph, strategies, payoffs)
 
 
-def _payoff_line_error(number: int, tokens: list[str], graph: DependencyGraph,
-                       strategies: dict[str, tuple[str, ...]]) -> None:
-    """Raise the error of a payoff line that the assignment lookup rejected.
-
-    The checks run in the order the format documents them, so a line with
-    several faults is reported by the first.
-    """
+def _payoff_entry(number: int, tokens: list[str], graph: DependencyGraph,
+                  labels: dict[str, frozenset[str]]) -> tuple[str, tuple[str, ...]]:
+    """The player and key of a payoff line, checked in the order the format
+    documents, so a line with several faults is reported by the first."""
     if len(tokens) < 3:
         raise ParseError(number, "payoff line expects a player, assignments, and a value")
     player = tokens[1]
@@ -430,9 +400,9 @@ def _payoff_line_error(number: int, tokens: list[str], graph: DependencyGraph,
             f"payoff for {player} must assign exactly its closed neighbourhood "
             f"{{{','.join(local)}}}, got {{{','.join(sorted(assignment))}}}")
     for name, label in assignment.items():
-        if label not in strategies[name]:
+        if label not in labels[name]:
             raise ParseError(number, f"unknown strategy {label!r} for player {name!r}")
-    raise AssertionError(f"line {number}: a payoff line that passes every check was rejected")
+    return player, tuple(map(assignment.__getitem__, local))
 
 
 def print_graph(graph: DependencyGraph) -> str:

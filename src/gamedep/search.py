@@ -15,9 +15,9 @@ Both search streams describe a candidate game in one representation, a
 *draw* `(counts, cells)`: `counts[i]` is player i's strategy count, and
 `cells()` returns, per player, the indices into `payoff_values` of its
 payoff cells in row-major order over `graph.local_order(player)`.
-`_draw` reads it from the random stream and `_systematic_draws` from the
-canonical order.  The search reads the counts first, so the profile budget
-and the enumeration cap are checked before any cell is drawn, and
+`_draw` reads it from the random stream and `_systematic_candidates` from
+the canonical order.  The search reads the counts first, so the profile
+budget and the enumeration cap are checked before any cell is drawn, and
 equilibria are enumerated only when a formula reaches an atom: on
 strategy-index tuples, comparing payoff values by their rank in
 `sorted(payoff_values)`.  A `Game` is built (`_build`) only for a game the
@@ -32,7 +32,8 @@ Random mode judges a per-game prefix of `_PER_GAME_PREFIX` candidates, then
 blocks of consecutive indices: it computes their strategy counts first and
 then only the splitmix64 outputs that each candidate reads.  Systematic
 mode judges consecutive assignment numbers of one count shape, its rows the
-counts and the digits of each number.  The first block holds
+counts and the digits of each number, and walks the same numbers one game
+at a time where no block layout applies.  The first block holds
 `_FIRST_BLOCK` candidates, and each later block as many as all blocks
 before it (`_block_size`), up to `_BLOCK_ELEMENTS` padded elements; the
 budget is still checked per candidate in order.  Candidates are judged per
@@ -137,7 +138,9 @@ class SearchBounds:
 
     `max_profiles` is a cumulative budget: each candidate game costs its
     profile count, and the search stops (cap_exceeded) once the next game
-    would overrun the budget.
+    would overrun the budget.  `fuzz_soundness` reads only `max_strategies`,
+    `payoff_values`, `seed` and `sample_count`: it samples the random stream
+    whatever `mode` says and never spends `max_profiles`.
     """
 
     max_strategies: int = 3
@@ -635,17 +638,6 @@ def _count_vectors(n: int, cap: int) -> Iterator[tuple[int, ...]]:
         yield from parts(total, n)
 
 
-def _systematic_draws(graph: DependencyGraph, bounds: SearchBounds):
-    """Canonical order: counts ascending (total, then lex); within a shape,
-    payoff tables in lexicographic order over the concatenated cells (players
-    in declaration order, local assignments row-major, last cell fastest)."""
-    for counts in _count_vectors(len(graph.players), bounds.max_strategies):
-        sizes = _table_sizes(graph, counts)
-        for assignment in itertools.product(range(len(bounds.payoff_values)),
-                                            repeat=sum(sizes)):
-            yield counts, functools.partial(_split, assignment, sizes)
-
-
 def _assignment_cells(number: int, base: int, sizes) -> list:
     """The cells of assignment `number` of a shape with tables of `sizes`
     cells: its digits in base `base`, most significant first, split by table."""
@@ -657,22 +649,21 @@ def _assignment_cells(number: int, base: int, sizes) -> list:
 
 
 def _systematic_candidates(graph: DependencyGraph, bounds: SearchBounds, judge):
-    """`(counts, cells, verdict)` in the canonical order of `_systematic_draws`.
+    """`(counts, cells, verdict)` in canonical order: counts ascending (total,
+    then lex); within a shape, payoff tables in lexicographic order over the
+    concatenated cells (players in declaration order, local assignments
+    row-major, last cell fastest), that is assignment numbers 0 .. V^T - 1
+    (V payoff values, T cells) read as base-V digits.
 
-    Within a shape, assignment numbers 0 .. V^T - 1 (V payoff values, T
-    cells) are judged in blocks, and `verdict` is the candidate's entry of
-    `judge(layout, mask)`.  A block's size (`_block_size`) counts the
+    The numbers are judged in blocks, and `verdict` is the candidate's entry
+    of `judge(layout, mask)`.  A block's size (`_block_size`) counts the
     candidates of the whole walk before it, and it is cut at the end of its
-    shape and at the candidates the remaining profile budget admits.  The
-    first candidate past the budget comes unjudged (verdict None), as does
-    every candidate of a graph that `_BlockLayout.of` leaves to per-game
-    judging.
+    shape and at the candidates the remaining profile budget admits.  A graph
+    that `_BlockLayout.of` leaves to per-game judging walks the same numbers
+    under the same cuts, every candidate unjudged (verdict None).  The first
+    candidate past the budget comes unjudged and ends the walk.
     """
     layout = _BlockLayout.of(graph, bounds)
-    if layout is None:
-        for counts, cells in _systematic_draws(graph, bounds):
-            yield counts, cells, None
-        return
     base = len(bounds.payoff_values)
     budget = bounds.max_profiles
     walked = 0
@@ -681,12 +672,14 @@ def _systematic_candidates(graph: DependencyGraph, bounds: SearchBounds, judge):
         total, cost = base ** sum(sizes), math.prod(counts)
         start = 0
         while start < total:
-            size = min(_block_size(layout, walked), total - start, budget // cost)
+            step = total if layout is None else _block_size(layout, walked)
+            size = min(step, total - start, budget // cost)
             if size == 0:
                 yield counts, functools.partial(_assignment_cells, start, base, sizes), None
                 return
-            mask = layout.systematic_block(counts, sum(sizes), start, size)
-            for number, verdict in zip(itertools.count(start), judge(layout, mask)):
+            verdicts = (itertools.repeat(None, size) if layout is None else
+                        judge(layout, layout.systematic_block(counts, sum(sizes), start, size)))
+            for number, verdict in zip(itertools.count(start), verdicts):
                 yield (counts, functools.partial(_assignment_cells, number, base, sizes),
                        verdict)
             budget -= size * cost
@@ -815,6 +808,11 @@ def fuzz_soundness(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
     A game is judged on the cover of those goals (`_fuzz_goals`), which
     holds only where every goal does; every goal is grouped, and each
     failing one reported, only in a game where a cover goal fails.
+
+    Of `bounds` it reads only `max_strategies`, `payoff_values`, `seed` and
+    `sample_count`: games 0 .. sample_count-1 of the random stream are
+    tested whatever `bounds.mode` says, and `bounds.max_profiles` is never
+    spent (a game past the enumeration cap still raises).
     """
     if not isinstance(hypotheses, Hypotheses):
         hypotheses = Hypotheses.of(hypotheses)

@@ -110,6 +110,14 @@ class TestEnumerate:
         game = builtin_game("parity")
         assert equilibria(game) is equilibria(game)
 
+    def test_one_cached_entry_point_that_checks_its_cap_first(self):
+        game = builtin_game("coordination")
+        found = enumerate_equilibria(game)
+        assert enumerate_equilibria(game) is found
+        assert equilibria(game) is found
+        with pytest.raises(ResourceLimitError, match="exceeding the cap"):
+            enumerate_equilibria(game, max_profiles=3)
+
 
 def assert_matches_oracle(game):
     """Exact tuples and order against the deviation oracle, and membership."""

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gamedep import parser
-from gamedep.core import FALSUM, Atom, DependencyGraph, Implication
+from gamedep.core import FALSUM, Atom, DependencyGraph, Game, Implication
 from gamedep.parser import (
     MAX_FORMULA_DEPTH,
     LocalityError,
@@ -142,6 +142,17 @@ class TestParseGame:
     @given(games())
     def test_print_parse_round_trip(self, game):
         assert parse_game(print_game(game)) == game
+
+    def test_round_trip_holds_for_games_as_game_of_normalises_them(self):
+        # an empty table prints no line: the raw constructor keeps it, so its
+        # game does not come back equal; Game.of drops it, so its game does
+        graph = builtin_graph("pair")
+        strategies = {"a": ("0", "1"), "b": ("0",)}
+        raw = Game(graph, strategies, {"a": {}})
+        assert print_game(raw) == print_game(Game(graph, strategies, {}))
+        assert parse_game(print_game(raw)) != raw
+        normalised = Game.of(graph, strategies, {"a": {}})
+        assert parse_game(print_game(normalised)) == normalised
 
 
 SIGNED_VALUES = (Fraction(-7, 2), Fraction(-1, 3), 0, Fraction(2, 5), 1, 12)

@@ -43,7 +43,7 @@ from gamedep.search import (
     _fuzz_goals,
     _build,
     _stream,
-    _systematic_draws,
+    _systematic_candidates,
     _table_sizes,
     builtin_game,
     builtin_graph,
@@ -63,8 +63,10 @@ from oracles import (
 
 
 def systematic_games(graph, bounds):
-    """The games of the canonical order in `src`, built one draw at a time."""
-    for counts, cells in _systematic_draws(graph, bounds):
+    """The games of the canonical order in `src`, built one candidate at a
+    time, up to the first past the profile budget."""
+    ignore = lambda layout, mask: [None] * mask.shape[1]
+    for counts, cells, _ in _systematic_candidates(graph, bounds, ignore):
         yield _build(graph, bounds, counts, cells())
 
 
@@ -440,6 +442,15 @@ class TestFuzzSoundness:
         with pytest.raises(InputError, match="unknown player"):
             fuzz_soundness(graph, [Atom.of("a", "z")], SearchBounds())
 
+    def test_reads_neither_mode_nor_profile_budget(self):
+        graph = builtin_graph("gamma1")
+        atoms = [Atom.of("a", "d")]
+        report = fuzz_soundness(graph, atoms, SearchBounds(seed=42, sample_count=50))
+        for bounds in (SearchBounds(seed=42, sample_count=50, mode="systematic"),
+                       SearchBounds(seed=42, sample_count=50, max_profiles=1)):
+            assert fuzz_soundness(graph, atoms, bounds) == report
+        assert report.games_tested == 50
+
 
 # --- the search against the per-game loops ------------------------------------
 
@@ -651,6 +662,13 @@ class TestAgainstPerGameLoops:
         bounds = SearchBounds(max_strategies=2, payoff_values=(-1, Fraction(1, 2), 0))
         assert (list(systematic_games(graph, bounds))[:500]
                 == list(itertools.islice(games_in_canonical_order(graph, bounds), 500)))
+        # past the grid bound (2^13 profiles): the same walk, one game at a time
+        names = [f"p{i}" for i in range(13)]
+        path = DependencyGraph.of(names, list(zip(names, names[1:])))
+        bounds = SearchBounds(max_strategies=2)
+        assert _BlockLayout.of(path, bounds) is None
+        assert (list(itertools.islice(systematic_games(path, bounds), 3000))
+                == list(itertools.islice(games_in_canonical_order(path, bounds), 3000)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fuzz_soundness(self, seed):
@@ -788,14 +806,23 @@ class TestSystematicBlocks:
                             lambda *args: built.append(real(*args)) or built[-1])
         players = [f"p{i}" for i in range(13)]
         graph = DependencyGraph.of(players, zip(players, players[1:]))
-        assert 2 ** 13 > gamedep.search._GRID_PROFILES
-        # the first shape alone holds 2^13 games: budgets stop inside it
-        for text, budget in [("!(p0 |> p12)", 10 ** 6), ("p5 |> p6", 300), ("p0 |> p0", 90)]:
-            bounds = SearchBounds(max_strategies=2, max_profiles=budget, mode="systematic")
+        cycle = DependencyGraph.of(players[:7], zip(players[:7], players[1:7] + players[:1]))
+        assert 2 ** 13 > gamedep.search._GRID_PROFILES and 4 ** 7 > gamedep.search._GRID_PROFILES
+        # the path's first shape alone holds 2^13 games: budgets stop inside
+        # it; with one payoff value each shape is one game, so the walk
+        # crosses shapes, and the cycle's budget stops in its second shape
+        cases = [(graph, 2, (0, 1), text, budget) for text, budget in
+                 [("!(p0 |> p12)", 10 ** 6), ("p5 |> p6", 300), ("p0 |> p0", 90)]]
+        cases += [(graph, 2, (0,), "p0 |> p0", 5000), (graph, 2, (0,), "{} |> p0", 5000),
+                  (cycle, 4, (0,), "(p1 |> p0) -> p2 |> p0", 5000),
+                  (cycle, 4, (1, 0), "p0 |> p0", 900), (cycle, 4, (1, 0), "{} |> p0", 900)]
+        for graph, most, values, text, budget in cases:
+            bounds = SearchBounds(max_strategies=most, payoff_values=values,
+                                  max_profiles=budget, mode="systematic")
             formula = parse_formula(text, graph)
             assert (find_counterexample(graph, formula, bounds)
                     == counterexample_by_games(graph, formula, bounds))
-        assert built == [None] * 3
+        assert built == [None] * len(cases)
 
     def test_block_masks_are_the_equilibria_of_their_games(self):
         # shape (1, 2, 1) of gamma3 follows 27 + 243 games; 3 unsorted values
