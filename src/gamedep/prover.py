@@ -67,14 +67,17 @@ Saturation keeps cl as it stood after each sweep.  A fact's sweep is the
 first snapshot that holds it, which lets `derive_tree` rebuild an
 explicit, independently checkable derivation by running the producing
 rule of each fact backwards against the snapshot before.
+
+numpy is imported inside the code that uses it (`_cut_table`, `saturate`,
+`_TreeBuilder`), not at module level: every `gamedep` process imports this
+module, but only saturation needs numpy, and importing it is most of the
+start-up of `ne`, `check`, `validate` and `prove-check`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Union
 
 from .core import (
     Atom,
@@ -84,6 +87,9 @@ from .core import (
     PlayerSet,
     ResourceLimitError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Augmentation",
@@ -218,6 +224,8 @@ def _cut_table(graph: DependencyGraph) -> tuple[np.ndarray,
     placed, and U and Y are int32, so the edgeless worst case, which keeps
     all 3^n pairs, costs less memory than int64 pairs would.
     """
+    import numpy as np
+
     n = len(graph.players)
     size = 1 << n
     adjacency = [graph.mask_of(graph.neighbors(name)) for name in graph.players]
@@ -279,6 +287,8 @@ class ClosureTable:
 def saturate(graph: DependencyGraph,
              hypotheses: Hypotheses | Iterable) -> ClosureTable:
     """Run the closure computation to its global fixpoint."""
+    import numpy as np
+
     n = _check_size(graph)
     if not isinstance(hypotheses, Hypotheses):
         hypotheses = Hypotheses.of(hypotheses)
@@ -331,6 +341,8 @@ class _TreeBuilder:
     """Rebuilds an explicit derivation from the saturation snapshots."""
 
     def __init__(self, table: ClosureTable):
+        import numpy as np
+
         self.table = table
         self.graph = table.graph
         self.n = len(table.graph.players)
@@ -394,7 +406,7 @@ class _TreeBuilder:
     def find_chain_source(self, x: int, v: int, sweep: int) -> int:
         prev = self.table._history[sweep - 1]
         usable = ((self.ids & ~prev[x]) == 0) & ((prev >> v & 1) == 1)
-        candidates = np.nonzero(usable)[0]
+        candidates = usable.nonzero()[0]
         if not candidates.size:
             raise AssertionError("no chain source found")
         return min((int(c) for c in candidates),
@@ -402,7 +414,7 @@ class _TreeBuilder:
 
     def find_contiguity_source(self, x: int, v: int, sweep: int) -> tuple[int, int]:
         prev = self.table._history[sweep - 1]
-        sources = [int(s) for s in np.nonzero(prev >> v & 1)[0]]
+        sources = [int(s) for s in (prev >> v & 1).nonzero()[0]]
         sources.sort(key=lambda m: (m.bit_count(), m))
         us = self.ids[(self.ids >> v & 1) == 0]
         base = self.table._borders[us]

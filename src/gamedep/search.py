@@ -46,6 +46,12 @@ fire inside a block).
 (`_fuzz_goals`), exact because Augmentation is sound on every equilibrium
 set, and re-judges per game, against every goal, a candidate in which a
 cover goal fails, so its report is built from the per-game semantics.
+
+numpy is imported inside the code that uses it (`_mix`, `_rejection_limit`,
+the methods of `_BlockLayout` and the block judge of `fuzz_soundness`), not
+at module level: every `gamedep` process imports this module, but only
+`refute` and `fuzz-soundness` judge blocks, and importing numpy is most of
+the start-up of `ne`, `check`, `validate` and `prove-check`.
 """
 
 from __future__ import annotations
@@ -55,9 +61,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
 from .core import (
     Atom,
@@ -73,6 +77,9 @@ from .equilibrium import DEFAULT_PROFILE_CAP, check_profile_cap, index_equilibri
 from .parser import _mean_mod_modulus
 from .prover import Hypotheses, saturate
 from .semantics import constant_within_groups, evaluate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FuzzReport",
@@ -348,6 +355,8 @@ _PADDED = 2.0 ** 40
 
 def _mix(z):
     """The splitmix64 finalizer, in place on a uint64 array of states."""
+    import numpy as np
+
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
@@ -359,6 +368,8 @@ def _mix(z):
 def _rejection_limit(bound: int):
     """The outputs at or above which `take` redraws, as a uint64, or None
     when `bound` divides 2^64 and nothing is redrawn."""
+    import numpy as np
+
     rest = (1 << 64) % bound
     return None if rest == 0 else np.uint64((1 << 64) - rest)
 
@@ -396,6 +407,8 @@ class _BlockLayout:
     """
 
     def __init__(self, graph: DependencyGraph, bounds: SearchBounds, per_candidate: int):
+        import numpy as np
+
         n, m = len(graph.players), bounds.max_strategies
         self.graph, self.n, self.m = graph, n, m
         local = [graph.local_indices(p) for p in graph.players]
@@ -470,6 +483,8 @@ class _BlockLayout:
         liveness `live[cell, candidate]`, the flat positions `at` of the
         live ones, and where each reads its draw in a raw block of the
         block's size (`judge`), as a flat index."""
+        import numpy as np
+
         size = counts.shape[1]
         # every product ends with the block size, so strides and table sizes
         # come out scaled to rows of the raw block
@@ -489,6 +504,8 @@ class _BlockLayout:
         """The equilibrium mask `mask[profile, candidate]` over the padded
         grid, from the raw outputs of the live cells at flat positions `at`:
         a cell's value index is its output mod the number of payoff values."""
+        import numpy as np
+
         size = live.shape[1]
         ranks = np.full(self.cells * size, -1, self.ranks.dtype)
         ranks[at] = self.ranks.take(outputs % self.values)
@@ -501,6 +518,8 @@ class _BlockLayout:
         """The strategy counts `counts[player, candidate]` of a raw block and
         its equilibrium mask: `raw[j, c]` is draw j of candidate c, a count
         its draw mod m, plus 1."""
+        import numpy as np
+
         counts = (raw[:self.n] % np.uint64(self.m)).astype(np.intp) + 1
         live, at, flat = self._live(counts)
         return counts, self._mask(live, at, raw.ravel().take(flat))
@@ -515,6 +534,8 @@ class _BlockLayout:
         window of draws, and a candidate with an output in it at or above its
         rejection limit draws differently, so its mask must not be used.
         """
+        import numpy as np
+
         n = self.n
         index = np.arange(start + 1, start + size + 1, dtype=np.uint64)
         states = np.uint64(seed) ^ (index * np.uint64(_GOLDEN))
@@ -540,6 +561,8 @@ class _BlockLayout:
         value index is its digit.  Digits whose place value exceeds the
         block's last number are 0, and are not computed: every place value
         computed is at most that number, so it fits a uint64."""
+        import numpy as np
+
         raw = np.zeros((self.n + cells, size), np.uint64)
         raw[:self.n] = np.array(counts, np.uint64)[:, None] - np.uint64(1)
         numbers = np.arange(size, dtype=np.uint64) + np.uint64(start)
@@ -557,6 +580,8 @@ class _BlockLayout:
         axes first, then the rhs axes not in the lhs, then the rest: `any`
         over the rest leaves the (lhs, rhs) projections that occur, and a
         sum counts them per lhs projection."""
+        import numpy as np
+
         if atom not in self._groupings:
             lhs = sorted(self.graph.index(p) for p in atom.lhs)
             rhs = sorted({self.graph.index(p) for p in atom.rhs} - set(lhs))
@@ -572,6 +597,8 @@ class _BlockLayout:
 
     def formula_holds(self, mask, formula: Formula):
         """Per column of the equilibrium mask, the truth of `formula`."""
+        import numpy as np
+
         if isinstance(formula, Falsum):
             return np.zeros(mask.shape[1], bool)
         if isinstance(formula, Atom):
@@ -700,9 +727,10 @@ def _equilibria(graph: DependencyGraph, counts, cells, ranks):
 
 
 def _ranks(values) -> list[int]:
-    """The rank of each payoff value in `sorted(values)`."""
-    order = sorted(values)
-    return [order.index(v) for v in values]
+    """The rank of each payoff value in `sorted(values)`, which holds
+    distinct values (`SearchBounds` refuses repeats)."""
+    rank = {v: r for r, v in enumerate(sorted(values))}
+    return [rank[v] for v in values]
 
 
 @dataclass(frozen=True)
@@ -822,6 +850,8 @@ def fuzz_soundness(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
         """False where a hypothesis fails, True where the hypotheses and every
         cover goal hold, None (judge per game) where a cover goal fails.
         Goals are decided only on the candidates where the hypotheses hold."""
+        import numpy as np
+
         assumed = np.ones(mask.shape[1], bool)
         for atom in hypotheses:
             assumed &= layout.holds(mask, atom)

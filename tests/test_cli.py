@@ -1,6 +1,8 @@
-"""End-to-end tests of the command-line interface via main(argv)."""
+"""End-to-end tests of the command-line interface via main(argv), and of
+what a fresh interpreter imports."""
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import gamedep
 from gamedep import parser
 from gamedep.cli import build_parser, entry, main
 from gamedep.core import Game
@@ -566,8 +569,87 @@ class TestModuleEntryPoints:
         argv = [a.format(game=game_file, absent=tmp_path / "absent.txt") for a in args]
         assert main(argv) == code
         expected = capsys.readouterr()
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        run = subprocess.run([sys.executable, "-m", module, *argv], env=env,
-                             capture_output=True, text=True, timeout=60)
+        run = _fresh_python("-m", module, *argv)
         assert (run.returncode, run.stdout, run.stderr) == (code, expected.out, expected.err)
+
+
+def _fresh_python(*args):
+    """Run a new interpreter on `args`, importing gamedep from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+
+
+# Runs the queries of argv[1] (JSON) through `main` in one process and prints
+# their exit codes and stdout, with whether numpy was imported after each.
+COLD_START = """\
+import contextlib, io, json, sys
+import gamedep, gamedep.cli
+
+answers = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = gamedep.cli.main(argv)
+    answers.append([code, out.getvalue(), "numpy" in sys.modules])
+print(json.dumps(answers))
+"""
+
+
+class TestColdStart:
+    """`ne`, `check`, `validate` and `prove-check` never import numpy; the
+    commands that use it import it on first use and answer as `main` does."""
+
+    def test_numpy_is_imported_only_by_the_commands_that_use_it(self, game_file, path_file,
+                                                                 tmp_path, capsys):
+        proof = tmp_path / "proof.txt"
+        proof.write_text(PROOF_DOC)
+        pure = [["ne", game_file],
+                ["check", game_file, "a |> b"],
+                ["check", game_file, "{} |> a"],
+                ["validate", game_file],
+                ["prove-check", path_file, str(proof), "--assume", "a |> d"]]
+        numeric = [["prove", path_file, "b,c |> d", "--assume", "a |> d"],
+                   ["refute", path_file, "a |> d -> b,c |> d", "--samples", "100"],
+                   ["refute", path_file, "a |> b", "--mode", "systematic",
+                    "--max-strategies", "2"],
+                   ["fuzz-soundness", path_file, "--assume", "a |> d", "--samples", "50"]]
+        expected = []
+        for argv in pure + numeric:
+            code = main(argv)
+            expected.append([code, capsys.readouterr().out])
+        run = _fresh_python("-c", COLD_START, json.dumps(pure + numeric))
+        assert run.returncode == 0, run.stderr
+        answers = json.loads(run.stdout)
+        assert [answer[:2] for answer in answers] == expected
+        assert [answer[2] for answer in answers[:len(pure)]] == [False] * len(pure)
+        assert answers[-1][2]
+
+
+# the compatibility contract: these public names stay
+PUBLIC_NAMES = [
+    "FALSUM", "Atom", "ClosureTable", "Cut", "DependencyGraph", "Derivation",
+    "DerivationCheck", "Falsum", "Formula", "FuzzReport", "Game", "Hypotheses",
+    "Implication", "InputError", "LocalityError", "NoneWithinBounds", "ParseError",
+    "ResourceLimitError", "ScopeError", "SearchBounds", "SplitMix64", "Step",
+    "agrees_on", "builtin_game", "builtin_graph", "check_derivation",
+    "check_formula_scope", "depends", "derive_tree", "derives", "determined_players",
+    "enumerate_equilibria", "equilibria", "find_counterexample", "formula_players",
+    "fuzz_soundness", "holds", "is_equilibrium", "parse_atom", "parse_derivation",
+    "parse_formula", "parse_game", "parse_graph", "parse_rational", "payoff_of",
+    "print_derivation", "print_formula", "print_game", "print_graph",
+    "profile_from_mapping", "profile_to_mapping", "random_game", "saturate", "sparse",
+    "sparse_set_principle", "splice_profiles", "validate_game",
+]
+
+
+class TestPublicNames:
+    def test_public_names_are_fixed(self):
+        assert len(PUBLIC_NAMES) == 57
+        assert gamedep.__all__ == PUBLIC_NAMES
+
+    def test_every_public_name_resolves_in_a_fresh_interpreter(self):
+        run = _fresh_python("-c", "import json, gamedep; print(json.dumps("
+                            "[n for n in gamedep.__all__ if not hasattr(gamedep, n)]))")
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == []

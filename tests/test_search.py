@@ -42,6 +42,7 @@ from gamedep.search import (
     _draw,
     _fuzz_goals,
     _build,
+    _ranks,
     _stream,
     _systematic_candidates,
     _table_sizes,
@@ -150,6 +151,26 @@ class TestSearchBounds:
     def test_validation(self, kwargs, fragment):
         with pytest.raises(InputError, match=fragment):
             SearchBounds(**kwargs)
+
+
+class TestRanks:
+    @given(st.lists(st.one_of(st.integers(-50, 50), st.fractions()), min_size=1,
+                    max_size=40, unique=True), st.randoms())
+    def test_ranks_are_positions_in_sorted_order(self, values, rng):
+        rng.shuffle(values)
+        order = sorted(values)
+        assert _ranks(values) == [order.index(v) for v in values]
+
+    def test_twenty_thousand_values_rank_in_under_a_second(self):
+        values = list(SearchBounds(payoff_values=[Fraction(v, 7) for v in
+                                                  range(-10_000, 10_000)]).payoff_values)
+        random.Random(5).shuffle(values)
+        started = time.perf_counter()
+        ranks = _ranks(values)
+        elapsed = time.perf_counter() - started
+        by_value = sorted(range(len(values)), key=values.__getitem__)
+        assert [ranks[i] for i in by_value] == list(range(len(values)))
+        assert elapsed < 1, f"ranking 20,000 values took {elapsed:.2f}s"
 
 
 class TestBuiltinGraphs:
