@@ -161,7 +161,10 @@ class TestRanks:
         order = sorted(values)
         assert _ranks(values) == [order.index(v) for v in values]
 
-    def test_twenty_thousand_values_rank_in_under_a_second(self):
+    def test_twenty_thousand_values_rank_without_the_quadratic(self):
+        # the old order.index ranking grew as the square of the values (13.7 s
+        # for 8,000), over a minute here; the bound is loose so that a loaded
+        # runner does not fail it
         values = list(SearchBounds(payoff_values=[Fraction(v, 7) for v in
                                                   range(-10_000, 10_000)]).payoff_values)
         random.Random(5).shuffle(values)
@@ -170,7 +173,7 @@ class TestRanks:
         elapsed = time.perf_counter() - started
         by_value = sorted(range(len(values)), key=values.__getitem__)
         assert [ranks[i] for i in by_value] == list(range(len(values)))
-        assert elapsed < 1, f"ranking 20,000 values took {elapsed:.2f}s"
+        assert elapsed < 5, f"ranking 20,000 values took {elapsed:.2f}s"
 
 
 class TestBuiltinGraphs:
