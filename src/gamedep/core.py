@@ -270,6 +270,14 @@ class Game:
     the equilibrium join's integer cells when the printed-form reader built
     it.  The cells are why it is a field: the reader hands them over with
     the game it builds.
+
+    ``Game(...)`` and :meth:`Game.of` validate every strategy list and
+    table in `__post_init__`, as :meth:`DependencyGraph.of` validates a
+    graph.  The game readers of `gamedep.parser` check each of those
+    invariants while they read a document (a strategies line per player,
+    checked and distinct labels, keys that assign exactly the closed
+    neighbourhood, `Fraction` values), so they build their graph and game
+    without re-validating them, and each document is checked once.
     """
 
     graph: DependencyGraph
@@ -289,6 +297,19 @@ class Game:
             if entries:  # an empty table means constant 0, same as no table
                 tables[p] = entries
         return cls(graph, strategies, tables)
+
+    @classmethod
+    def _unchecked(cls, graph: DependencyGraph, strategies: dict[str, tuple[str, ...]],
+                   payoffs: dict[str, dict[tuple[str, ...], Fraction]],
+                   cache: dict) -> "Game":
+        """A game built without `__post_init__`, for the game readers only:
+        they have already checked every invariant it would check."""
+        game = object.__new__(cls)
+        object.__setattr__(game, "graph", graph)
+        object.__setattr__(game, "strategies", strategies)
+        object.__setattr__(game, "payoffs", payoffs)
+        object.__setattr__(game, "_cache", cache)
+        return game
 
     def __post_init__(self) -> None:
         graph = self.graph

@@ -41,7 +41,9 @@ the only one that reports errors.  It reads the document in one pass over its
 lines and runs every check on every payoff line, in the order: line shape,
 declared player, assignment syntax, repeated player, locality, labels; then
 a duplicate entry and the value, parsing one `Fraction` per distinct value
-token.
+token.  Both readers, and the graph reader they share, check every
+invariant of `DependencyGraph.of` and `Game` as they read, so they build
+the graph and the game without re-validating them.
 
 Formulas::
 
@@ -171,9 +173,10 @@ def _integer(digits: str, line: int) -> int | None:
 
 def _read_document(text: str, game: bool):
     """One pass over a graph document, or a game document when `game` is set:
-    checks the players line, the edges and every directive in document order.
-    Returns the graph, the players line's number, and a game's strategies
-    and payoff lines as (line number, tokens) lists."""
+    checks the players line, the edges and every directive in document order,
+    each check `DependencyGraph.of` would make, so the graph is built without
+    it.  Returns the graph, the players line's number, and a game's
+    strategies and payoff lines as (line number, tokens) lists."""
     lines = _logical_lines(text)
     first = next(lines, None)
     if first is None:
@@ -184,14 +187,13 @@ def _read_document(text: str, game: bool):
         raise ParseError(players_line, f"expected a players line first, got {tokens[0]!r}")
     if len(tokens) < 2:
         raise ParseError(players_line, "players line declares no players")
-    players: dict[str, None] = {}  # a dict keeps declaration order and looks up in O(1)
+    players: dict[str, int] = {}  # declaration index, in declaration order
     for name in tokens[1:]:
         _checked(players_line, check_player_name, name)
         if name in players:
             raise ParseError(players_line, f"duplicate player {name!r}")
-        players[name] = None
-    edges: list[tuple[str, str]] = []
-    seen_pairs = set()
+        players[name] = len(players)
+    pairs: set[tuple[str, str]] = set()  # ordered by declaration index
     strategies_lines: list[tuple[int, list[str]]] = []
     payoff_lines: list[tuple[int, list[str]]] = []
     for number, content in lines:
@@ -208,18 +210,17 @@ def _read_document(text: str, game: bool):
                     raise ParseError(number, f"edge endpoint {name!r} is not a declared player")
             if u == v:
                 raise ParseError(number, f"loop edge {u} {v} is not allowed")
-            pair = frozenset((u, v))
-            if pair in seen_pairs:
+            pair = (u, v) if players[u] < players[v] else (v, u)
+            if pair in pairs:
                 raise ParseError(number, f"duplicate edge {u} {v}")
-            seen_pairs.add(pair)
-            edges.append((u, v))
+            pairs.add(pair)
         elif directive == "strategies" and game:
             strategies_lines.append((number, tokens))
         elif directive == "players":
             raise ParseError(number, "duplicate players line")
         else:
             raise ParseError(number, f"unknown directive {directive!r}")
-    graph = DependencyGraph.of(players, edges)
+    graph = DependencyGraph(tuple(players), frozenset(pairs))
     return graph, players_line, strategies_lines, payoff_lines
 
 
@@ -354,7 +355,7 @@ def _read_printed_game(text: str) -> Game | None:
         payoffs[player] = dict(zip(keys, map(values.__getitem__, tokens)))
     if position != len(lines):
         return None
-    return Game(graph, strategies, payoffs, _cache={"cells": cells})
+    return Game._unchecked(graph, strategies, payoffs, {"cells": cells})
 
 
 def _read_game_by_lines(text: str) -> Game:
@@ -372,7 +373,7 @@ def _read_game_by_lines(text: str) -> Game:
         if value is None:
             value = values[tokens[-1]] = parse_rational(tokens[-1], number)
         table[key] = value
-    return Game(graph, strategies, payoffs)
+    return Game._unchecked(graph, strategies, payoffs, {})
 
 
 def _payoff_entry(number: int, tokens: list[str], graph: DependencyGraph,

@@ -1,7 +1,11 @@
 """Equilibrium enumeration and the deviation/splice invariants."""
 
+import contextlib
+import io
 import itertools
 import math
+import os
+import tempfile
 import time
 from fractions import Fraction
 
@@ -10,10 +14,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gamedep import parser
+from gamedep.cli import main
 from gamedep.core import (
+    Atom,
     Cut,
     DependencyGraph,
     Game,
+    Implication,
     ResourceLimitError,
     agrees_on,
     profile_to_mapping,
@@ -26,10 +33,11 @@ from gamedep.equilibrium import (
     is_equilibrium,
     payoff_of,
 )
-from gamedep.parser import parse_game, print_game
+from gamedep.parser import parse_game, print_formula, print_game
 from gamedep.search import SearchBounds, builtin_game, builtin_graph, random_game
+from gamedep.semantics import holds
 
-from generators import cuts, games
+from generators import cuts, formulas, games
 
 from oracles import depends_pairwise  # noqa: F401  (re-exported for sibling tests)
 from oracles import equilibria_by_deviation
@@ -340,6 +348,86 @@ class TestMetamorphic:
         scale = {p: (data.draw(factors), data.draw(shifts)) for p in order}
         scaled = _mapped_game(game, names, order, relabel, scale)
         assert enumerate_equilibria(scaled) == enumerate_equilibria(game)
+
+
+def _cli(command, text, *rest):
+    """Exit code and stdout of `gamedep <command> FILE <rest>` where FILE
+    holds `text`."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "game.txt")
+        with open(path, "w", encoding="utf-8") as file:
+            file.write(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command, path, *rest])
+    return code, out.getvalue()
+
+
+def _listed_equilibria(output):
+    """The `ne` output's equilibria as sets of (player, label) pairs, and
+    its total line."""
+    *lines, total = output.splitlines()
+    return {frozenset(tuple(token.split("=")) for token in line.split())
+            for line in lines}, total
+
+
+def _renamed_formula(formula, names):
+    if isinstance(formula, Atom):
+        return Atom(frozenset(map(names.__getitem__, formula.lhs)),
+                    frozenset(map(names.__getitem__, formula.rhs)))
+    if isinstance(formula, Implication):
+        return Implication(_renamed_formula(formula.antecedent, names),
+                           _renamed_formula(formula.consequent, names))
+    return formula
+
+
+# Each document form and the reader it takes: printed (the printed-form
+# reader) and with a trailing comment (the per-line reader).
+DOCUMENT_FORMS = {
+    "printed": print_game,
+    "commented": lambda game: print_game(game) + "# comment\n",
+}
+
+
+def _renamed_and_reordered(game, data, transform):
+    """The player names map and the game under it: `renaming` renames every
+    player, `reordering` permutes the declarations."""
+    names, order, relabel, scale = TestMetamorphic.identity(game)
+    if transform == "renaming":
+        names = {p: f"renamed_{p.upper()}" for p in order}
+    else:
+        order = data.draw(st.permutations(order))
+    return names, _mapped_game(game, names, order, relabel, scale)
+
+
+class TestMetamorphicThroughTheReader:
+    """`ne` and `check` on game documents, in both readers' forms, answer
+    the same under renamed players and reordered declarations."""
+
+    @pytest.mark.parametrize("transform", ["renaming", "reordering"])
+    @pytest.mark.parametrize("form", DOCUMENT_FORMS)
+    @given(game=games(max_players=4, values=(0, 1, 2)), data=st.data())
+    def test_ne_output_maps(self, form, transform, game, data):
+        names, mapped = _renamed_and_reordered(game, data, transform)
+        code, output = _cli("ne", DOCUMENT_FORMS[form](game))
+        mapped_code, mapped_output = _cli("ne", DOCUMENT_FORMS[form](mapped))
+        assert code == mapped_code == 0
+        listed, total = _listed_equilibria(output)
+        assert _listed_equilibria(mapped_output) == (
+            {frozenset((names[p], label) for p, label in profile) for profile in listed},
+            total)
+
+    @pytest.mark.parametrize("transform", ["renaming", "reordering"])
+    @pytest.mark.parametrize("form", DOCUMENT_FORMS)
+    @given(game=games(max_players=4, values=(0, 1, 2)), data=st.data())
+    def test_check_verdict_is_unchanged(self, form, transform, game, data):
+        names, mapped = _renamed_and_reordered(game, data, transform)
+        formula = data.draw(formulas(game.graph))
+        verdict = _cli("check", DOCUMENT_FORMS[form](game),
+                       print_formula(formula, game.graph))
+        assert verdict == _cli("check", DOCUMENT_FORMS[form](mapped),
+                               print_formula(_renamed_formula(formula, names), mapped.graph))
+        assert verdict == ((0, "holds\n") if holds(game, formula) else (1, "fails\n"))
 
 
 class TestEdgeCases:

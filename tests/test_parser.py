@@ -3,6 +3,7 @@
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -352,10 +353,13 @@ def _printed_form_only():
         yield
 
 
+BUILTIN_GAMES = ["coordination", "table2", "parity", "consensus", "gamma2_rps",
+                 "gamma1_mean_mod(3)", "gamma1_mean_mod(5)"]
+
+
 class TestPrintedForm:
     def test_builtins(self):
-        for name in ["coordination", "table2", "parity", "consensus", "gamma2_rps",
-                     "gamma1_mean_mod(3)", "gamma1_mean_mod(5)"]:
+        for name in BUILTIN_GAMES:
             game = builtin_game(name)
             with _printed_form_only():
                 assert parse_game(print_game(game)) == game
@@ -377,6 +381,112 @@ class TestPrintedForm:
         game = parse_game(text)
         assert time.perf_counter() - start < 0.5
         assert game.payoffs == {"b": {("s0", "s0", "s0"): 1}}
+
+
+def _demo_documents():
+    """The game documents the demos print: each block of their recorded
+    output from a players line to the next blank line."""
+    for path in sorted((Path(__file__).parent / "demo_outputs").glob("*.txt")):
+        block = None
+        for line in path.read_text(encoding="utf-8").splitlines(keepends=True):
+            if line.startswith("players "):
+                block = []
+            if block is not None and not line.strip():
+                yield "".join(block)
+                block = None
+            elif block is not None:
+                block.append(line)
+        if block:
+            yield "".join(block)
+
+
+def _assert_passes_the_checked_constructors(game):
+    """`game`, built by a reader without a second check, is one that the
+    checked constructors accept and rebuild equal."""
+    graph = game.graph
+    assert DependencyGraph.of(graph.players, graph.edges) == graph
+    assert Game(graph, game.strategies, game.payoffs) == game
+    assert Game.of(graph, game.strategies, game.payoffs) == game
+
+
+def _assert_both_readers_check(printed):
+    """Both readers' games from a printed document, and from the same
+    document with a trailing comment, pass the checked constructors."""
+    commented = printed + "# comment\n"
+    game = parser._read_printed_game(printed)
+    assert game is not None
+    assert parser._read_printed_game(commented) is None
+    for built in (game, parser._read_game_by_lines(printed),
+                  parser._read_game_by_lines(commented)):
+        _assert_passes_the_checked_constructors(built)
+        assert built == game
+    return game
+
+
+class TestReadersSkipTheSecondCheck:
+    """The readers build `Game` and `DependencyGraph` without re-validating
+    them; every game they return is one the checked constructors accept."""
+
+    def test_demo_outputs(self):
+        documents = list(_demo_documents())
+        assert len(documents) == 2
+        for text in documents:
+            _assert_both_readers_check(text)
+
+    def test_builtins(self):
+        for name in BUILTIN_GAMES:
+            game = builtin_game(name)
+            assert _assert_both_readers_check(print_game(game)) == game
+
+    @given(data=st.data())
+    def test_generated_games(self, data):
+        game = data.draw(games(graph=data.draw(_parser_graphs()), values=SIGNED_VALUES))
+        assert _assert_both_readers_check(print_game(game)) == game
+
+    @given(games(max_players=4, values=SIGNED_VALUES, drop_cells=True))
+    def test_incomplete_tables(self, game):
+        # incomplete tables are not in printed form: the per-line reader reads them
+        for text in (print_game(game), print_game(game) + "# comment\n"):
+            built = parse_game(text)
+            _assert_passes_the_checked_constructors(built)
+            assert built == game
+
+    @given(graphs(), st.randoms())
+    def test_edges_in_any_order_and_direction(self, graph, rng):
+        edges = [list(edge) for edge in graph.edges]
+        rng.shuffle(edges)
+        for edge in edges:
+            rng.shuffle(edge)
+        text = "players " + " ".join(graph.players) + "\n" + "".join(
+            f"edge {u} {v}\n" for u, v in edges)
+        parsed = parse_graph(text)
+        assert DependencyGraph.of(parsed.players, parsed.edges) == parsed == graph
+
+    def test_parsing_runs_neither_check(self):
+        game = builtin_game("gamma2_rps")
+        printed = print_game(game)
+        calls = []
+        post_init, of = Game.__post_init__, DependencyGraph.of.__func__
+
+        def counted_post_init(self):
+            calls.append("Game.__post_init__")
+            post_init(self)
+
+        def counted_of(cls, *args):
+            calls.append("DependencyGraph.of")
+            return of(cls, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Game, "__post_init__", counted_post_init)
+            patch.setattr(DependencyGraph, "of", classmethod(counted_of))
+            assert parse_game(printed) == game
+            assert parse_game(printed + "# comment\n") == game
+            assert parse_graph(print_graph(game.graph)) == game.graph
+            assert calls == []
+            # the counters do see the checked constructors
+            Game.of(DependencyGraph.of(game.graph.players, game.graph.edges),
+                    game.strategies, game.payoffs)
+        assert calls == ["DependencyGraph.of", "Game.__post_init__"]
 
 
 class TestRationals:
