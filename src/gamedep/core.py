@@ -277,7 +277,9 @@ class Game:
     invariants while they read a document (a strategies line per player,
     checked and distinct labels, keys that assign exactly the closed
     neighbourhood, `Fraction` values), so they build their graph and game
-    without re-validating them, and each document is checked once.
+    without re-validating them, and each document is checked once.  The
+    search builds the games of its draws unchecked too: they are valid by
+    construction.
     """
 
     graph: DependencyGraph
@@ -302,8 +304,9 @@ class Game:
     def _unchecked(cls, graph: DependencyGraph, strategies: dict[str, tuple[str, ...]],
                    payoffs: dict[str, dict[tuple[str, ...], Fraction]],
                    cache: dict) -> "Game":
-        """A game built without `__post_init__`, for the game readers only:
-        they have already checked every invariant it would check."""
+        """A game built without `__post_init__`, for the game readers and
+        the search's draws only: they have already checked, or hold by
+        construction, every invariant it would check."""
         game = object.__new__(cls)
         object.__setattr__(game, "graph", graph)
         object.__setattr__(game, "strategies", strategies)

@@ -28,9 +28,12 @@ of raw outputs, one row per draw and one column per candidate, judged at
 once with each player's table padded to `max_strategies` strategies per
 member, best responses by one max, equilibria as a mask over the padded
 profile grid, and each atom by grouping that mask on its lhs projection.
-Random mode judges a per-game prefix of `_PER_GAME_PREFIX` candidates, then
-blocks of consecutive indices: it computes their strategy counts first and
-then only the splitmix64 outputs that each candidate reads.  Systematic
+Random mode judges blocks of consecutive indices: it computes their
+strategy counts first and then only the splitmix64 outputs that each
+candidate reads.  A random search that can stop early, `find_counterexample`,
+first judges a per-game prefix of `_PER_GAME_PREFIX` candidates, so a search
+that stops among them sets up no block; `fuzz_soundness` always tests every
+sample, so it judges blocks from index 0.  Systematic
 mode judges consecutive assignment numbers of one count shape, its rows the
 counts and the digits of each number, and walks the same numbers one game
 at a time where no block layout applies.  The first block holds
@@ -306,13 +309,16 @@ def _draw(graph: DependencyGraph, bounds: SearchBounds, index: int):
 
 
 def _build(graph: DependencyGraph, bounds: SearchBounds, counts, cells) -> Game:
-    """The `Game` of a draw: labels "0", "1", ... and the drawn payoff values."""
+    """The `Game` of a draw: labels "0", "1", ... and the drawn payoff values.
+    A draw is valid by construction (distinct, checked labels, at least one
+    per player, a complete non-empty table per player keyed in local order,
+    `Fraction` values from `SearchBounds`), so the game is built unchecked."""
     strategies = {p: tuple(str(i) for i in range(k)) for p, k in zip(graph.players, counts)}
     values = bounds.payoff_values
     payoffs = {p: dict(zip(itertools.product(*(strategies[q] for q in graph.local_order(p))),
                            (values[c] for c in row)))
                for p, row in zip(graph.players, cells)}
-    return Game.of(graph, strategies, payoffs)
+    return Game._unchecked(graph, strategies, payoffs, {})
 
 
 def random_game(graph: DependencyGraph, bounds: SearchBounds, index: int) -> Game:
@@ -327,11 +333,14 @@ def _drawn_cells(graph: DependencyGraph, bounds: SearchBounds, index: int):
 
 # --- judging blocks of the random stream as arrays ----------------------------
 
-# The first candidates of a random search are judged per game, so a search
-# that stops among them pays nothing for the block layout (0.11-0.26 ms on
-# gamma1, gamma4 and gamma5, as much as judging one to three games) or for
-# judging candidates it never reaches.  With 3 here, searches failing at
-# index 3-13 ran up to 2.2 times slower.
+# The first candidates of a random search that can stop early
+# (`find_counterexample`) are judged per game, so a search that stops among
+# them pays nothing for the block layout (0.11-0.26 ms on gamma1, gamma4 and
+# gamma5, as much as judging one to three games) or for judging candidates
+# it never reaches.  With 3 here, searches failing at index 3-13 ran up to
+# 2.2 times slower.  `fuzz_soundness` never stops early and has no prefix:
+# judged per game, these 8 candidates cost a 150-sample fuzzing query about
+# 1.1 ms more than in its blocks (2-vCPU VM).
 _PER_GAME_PREFIX = 8
 # The first block holds this many candidates.  A block costs a fixed
 # 0.07-0.15 ms plus 0.9-4.7 us per candidate on gamma1, gamma4 and gamma5
@@ -616,17 +625,19 @@ def _block_size(layout: _BlockLayout, walked: int) -> int:
     return min(max(_FIRST_BLOCK, 2 * walked) - walked, layout.max_block)
 
 
-def _random_candidates(graph: DependencyGraph, bounds: SearchBounds, judge):
+def _random_candidates(graph: DependencyGraph, bounds: SearchBounds, judge, prefix: int):
     """`(counts, cells, verdict)` for indices 0 .. sample_count-1 of the random
     stream, in order, with `cells` as for `_draw`.
 
-    After the first `_PER_GAME_PREFIX` indices, candidates come in blocks
+    After the first `prefix` indices, candidates come in blocks
     (`_block_size`), and `verdict` is the candidate's entry of
     `judge(layout, mask)`.  It is None for a candidate to judge per game:
     one in the prefix, one whose draws were rejected, and every candidate
-    of a graph that `_BlockLayout.of` leaves to per-game judging.
+    of a graph that `_BlockLayout.of` leaves to per-game judging.  The
+    prefix is for a walk that can stop early: one that stops inside it
+    builds no layout.  A walk that reads every index passes 0.
     """
-    prefix = min(_PER_GAME_PREFIX, bounds.sample_count)
+    prefix = min(prefix, bounds.sample_count)
     for index in range(prefix):
         yield (*_draw(graph, bounds, index), None)
     layout = _BlockLayout.of(graph, bounds) if prefix < bounds.sample_count else None
@@ -752,9 +763,12 @@ def find_counterexample(graph: DependencyGraph, formula: Formula,
     the seeded stream at indices 0..sample_count-1.
     """
     check_formula_scope(graph, formula)
-    candidates = _systematic_candidates if bounds.mode == "systematic" else _random_candidates
-    source = candidates(graph, bounds,
-                        lambda layout, mask: layout.formula_holds(mask, formula).tolist())
+
+    def judge(layout, mask):
+        return layout.formula_holds(mask, formula).tolist()
+
+    source = (_systematic_candidates(graph, bounds, judge) if bounds.mode == "systematic"
+              else _random_candidates(graph, bounds, judge, _PER_GAME_PREFIX))
     ranks = _ranks(bounds.payoff_values)
     budget = bounds.max_profiles
     examined = 0
@@ -869,7 +883,7 @@ def fuzz_soundness(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
     tested = 0
     satisfied = 0
     violations: list[FuzzViolation] = []
-    for index, (counts, cells, verdict) in enumerate(_random_candidates(graph, bounds, judge)):
+    for index, (counts, cells, verdict) in enumerate(_random_candidates(graph, bounds, judge, 0)):
         tested += 1
         if verdict is not None:  # judged in a block: True counts as satisfied
             satisfied += verdict

@@ -339,6 +339,61 @@ class TestRandomGame:
         assert set(game.strategies) == set(graph.players)
 
 
+def _assert_passes_the_checked_constructors(game):
+    """`game`, built from a draw without `__post_init__`, is one that the
+    checked constructors accept and rebuild equal."""
+    assert Game(game.graph, game.strategies, game.payoffs) == game
+    assert Game.of(game.graph, game.strategies, game.payoffs) == game
+    assert all(type(value) is Fraction for table in game.payoffs.values()
+               for value in table.values())
+
+
+class TestDrawnGamesPassTheCheckedConstructors:
+    """The search builds the games it returns without re-validating them;
+    every one is a game the checked constructors accept."""
+
+    def test_random_games(self):
+        rng = random.Random("drawn games")
+        for _ in range(40):
+            graph = _seeded_graph(rng)
+            bounds = SearchBounds(max_strategies=rng.randint(1, 4),
+                                  payoff_values=rng.choice(_WIDE_VALUE_LISTS),
+                                  seed=rng.getrandbits(64))
+            for index in range(5):
+                _assert_passes_the_checked_constructors(random_game(graph, bounds, index))
+
+    @pytest.mark.parametrize("mode", ["random", "systematic"])
+    def test_refuting_games(self, mode):
+        found = 0
+        for graph, formula, bounds in _search_cases(40, mode, "drawn"):
+            game = find_counterexample(graph, formula, bounds)
+            if game:
+                found += 1
+                _assert_passes_the_checked_constructors(game)
+        assert found >= 8
+
+    def test_fuzz_violation_games(self, monkeypatch):
+        monkeypatch.setattr(gamedep.search, "saturate", _unsound)
+        graph = builtin_graph("gamma1")
+        bounds = SearchBounds(payoff_values=(3, Fraction(-1, 5), 0), seed=4, sample_count=80)
+        report = fuzz_soundness(graph, [], bounds)
+        assert len({v.index for v in report.violations}) >= 10
+        for violation in report.violations:
+            _assert_passes_the_checked_constructors(violation.game)
+
+    def test_building_runs_no_check(self, monkeypatch):
+        calls = []
+        post_init = Game.__post_init__
+        monkeypatch.setattr(Game, "__post_init__",
+                            lambda game: calls.append(game) or post_init(game))
+        graph = builtin_graph("gamma2")
+        game = random_game(graph, SearchBounds(seed=9), 0)
+        assert find_counterexample(graph, FALSUM, SearchBounds(seed=9)) == game
+        assert calls == []
+        _assert_passes_the_checked_constructors(game)
+        assert len(calls) == 2   # the counter does see the checked constructors
+
+
 class TestSystematicOrder:
     def test_count_vectors_ascend_by_total_then_lexicographically(self):
         assert list(_count_vectors(2, 2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
@@ -673,6 +728,42 @@ class TestAgainstPerGameLoops:
         atoms = [Atom.of("a", "d")]
         assert fuzz_soundness(graph, atoms, bounds) == fuzz_by_games(graph, atoms, bounds)
 
+    @pytest.mark.parametrize("samples", [1, 7, 8, 9, 63, 64, 65, 150])
+    def test_fuzz_soundness_around_the_first_blocks(self, samples, monkeypatch):
+        # fuzzing has no per-game prefix: these counts end inside, at and just
+        # past the first blocks of 64
+        path = [f"p{i}" for i in range(8)]
+        past = DependencyGraph.of(path, zip(path, path[1:]))
+        bounds = SearchBounds(seed=5, sample_count=samples)
+        assert _BlockLayout.of(past, bounds) is None   # 3^8 profiles
+        cases = [(builtin_graph("gamma1"), [Atom.of("a", "d")], bounds),
+                 (builtin_graph("gamma4"), [Atom.of("a", "e")], bounds),
+                 (builtin_graph("gamma5"), [Atom.of("a", "d"), Atom.of("bc", "f")], bounds),
+                 (past, [Atom.of(["p0"], ["p7"])], bounds)]
+        for graph, atoms, bounds in cases:
+            assert fuzz_soundness(graph, atoms, bounds) == fuzz_by_games(graph, atoms, bounds)
+
+        # a rejected output inside the first block: at candidate 0's first
+        # strategy count, and at the first payoff cell of a later candidate
+        graph = builtin_graph("gamma1")
+        drawn = []
+        real = gamedep.search._draw
+        monkeypatch.setattr(gamedep.search, "_draw",
+                            lambda g, b, i: drawn.append(i) or real(g, b, i))
+        for index, draw in [(0, 0), (min(20, samples - 1), 4)]:
+            bounds = SearchBounds(max_strategies=3, payoff_values=(0, 1, 2),
+                                  seed=_seed_rejecting(index, draw), sample_count=samples)
+            drawn.clear()
+            report = fuzz_soundness(graph, [Atom.of("a", "d")], bounds)
+            assert drawn == [index]   # the rejected candidate alone is drawn per game
+            assert report == fuzz_by_games(graph, [Atom.of("a", "d")], bounds)
+
+        # an unsound closure: candidates where a cover goal fails are re-judged
+        monkeypatch.setattr(gamedep.search, "saturate", _unsound)
+        bounds = SearchBounds(seed=4, sample_count=samples)
+        assert (fuzz_soundness(graph, [], bounds)
+                == fuzz_by_games(graph, [], bounds, closure=_unsound))
+
     def test_generated_games_match_the_documented_stream(self):
         rng = random.Random(3)
         for _ in range(30):
@@ -908,6 +999,29 @@ class TestBlockSchedule:
         assert [size for _, size, _ in calls] == [first, first, 2 * first, 4 * first,
                                                   1000 - _PER_GAME_PREFIX - 8 * first]
 
+    def test_fuzz_blocks_start_at_zero_and_double(self, monkeypatch):
+        # fuzzing never stops early: no per-game prefix, the same doubling
+        calls = _record_random_blocks(monkeypatch)
+        first = _FIRST_BLOCK
+        for name, samples, sizes in [("gamma1", 1000, [first, first, 2 * first, 4 * first,
+                                                       1000 - 8 * first]),
+                                     ("gamma5", 150, [first, first, 150 - 2 * first]),
+                                     ("gamma4", 9, [9])]:
+            calls.clear()
+            graph = builtin_graph(name)
+            bounds = SearchBounds(seed=3, sample_count=samples)
+            assert fuzz_soundness(graph, [Atom.of("a", "b")], bounds).games_tested == samples
+            assert [size for _, size, _ in calls] == sizes
+            assert [start for start, _, _ in calls] == [0, *itertools.accumulate(sizes[:-1])]
+            assert all(size <= limit for _, size, limit in calls)
+            # random refute on the same stream keeps its prefix
+            calls.clear()
+            formula = parse_formula("a |> a", graph)
+            assert find_counterexample(graph, formula, bounds) == NoneWithinBounds(samples)
+            assert [start for start, _, _ in calls][:1] == (
+                [_PER_GAME_PREFIX] if samples > _PER_GAME_PREFIX else [])
+            assert sum(size for _, size, _ in calls) == max(0, samples - _PER_GAME_PREFIX)
+
     @pytest.mark.parametrize("elements, cap", [(1 << 16, 89), (40 * 729, 40)])
     def test_random_blocks_stop_growing_at_the_cap(self, elements, cap, monkeypatch):
         # gamma5 at three strategies: 729 profiles per candidate
@@ -920,7 +1034,16 @@ class TestBlockSchedule:
         sizes = [size for _, size, _ in calls]
         assert all(limit == cap for _, _, limit in calls)
         assert sizes[0] == min(_FIRST_BLOCK, cap) and max(sizes) == cap
-        assert sum(sizes) == 400 - _PER_GAME_PREFIX
+        # fuzzing judges every sample in blocks, from index 0
+        assert [start for start, _, _ in calls] == [0, *itertools.accumulate(sizes[:-1])]
+        assert sum(sizes) == 400
+        # random refute caps the blocks after its per-game prefix the same way
+        calls.clear()
+        formula = parse_formula("a |> a", graph)
+        assert find_counterexample(graph, formula, bounds) == NoneWithinBounds(400)
+        sizes = [size for _, size, _ in calls]
+        assert sizes[0] == min(_FIRST_BLOCK, cap) and max(sizes) == cap
+        assert calls[0][0] == _PER_GAME_PREFIX and sum(sizes) == 400 - _PER_GAME_PREFIX
 
     def test_systematic_blocks_double_across_shapes(self, monkeypatch):
         calls = _record_blocks(monkeypatch)
@@ -1115,9 +1238,25 @@ class TestResourceGuards:
         graph = builtin_graph("gamma2")
         bounds = SearchBounds(seed=9)
         assert find_counterexample(graph, FALSUM, bounds) == random_game(graph, bounds, 0)
+        # a random refute whose stream ends inside the prefix
         bounds = SearchBounds(seed=9, sample_count=_PER_GAME_PREFIX)
-        assert (fuzz_soundness(graph, [Atom.of("a", "d")], bounds).games_tested
-                == _PER_GAME_PREFIX)
+        formula = parse_formula("a |> a", graph)
+        assert (find_counterexample(graph, formula, bounds)
+                == NoneWithinBounds(_PER_GAME_PREFIX))
+
+    @pytest.mark.parametrize("samples", [1, _PER_GAME_PREFIX])
+    def test_fuzzing_sets_up_one_layout_and_draws_no_game(self, samples, monkeypatch):
+        # fuzzing tests every sample, so even one sample is judged in a block
+        built = []
+        real = _BlockLayout.of
+        monkeypatch.setattr(_BlockLayout, "of",
+                            lambda *args: built.append(real(*args)) or built[-1])
+        monkeypatch.setattr(gamedep.search, "_draw", None)   # no game drawn per game
+        graph = builtin_graph("gamma2")
+        bounds = SearchBounds(seed=9, sample_count=samples)
+        report = fuzz_soundness(graph, [Atom.of("a", "d")], bounds)
+        assert report.games_tested == samples and not report.violations
+        assert len(built) == 1 and built[0] is not None
 
     def test_enumeration_cap_is_checked_before_any_cell_is_drawn(self, monkeypatch):
         players = [f"p{i}" for i in range(12)]
