@@ -23,23 +23,24 @@ strategy-index tuples, comparing payoff values by their rank in
 `sorted(payoff_values)`.  A `Game` is built (`_build`) only for a game the
 search returns: the refuting game, or a fuzzing violation.
 
-Both modes judge most candidates in blocks (`_BlockLayout`): numpy arrays
-of raw outputs, one row per draw and one column per candidate, judged at
+Both modes judge most candidates in blocks (`_BlockLayout`): one column
+per candidate, each payoff cell read by the index of its draw, judged at
 once with each player's table padded to `max_strategies` strategies per
 member, best responses by one max, equilibria as a mask over the padded
 profile grid, and each atom by grouping that mask on its lhs projection.
 Random mode judges blocks of consecutive indices: it computes their
-strategy counts first and then only the splitmix64 outputs that each
-candidate reads.  A random search that can stop early, `find_counterexample`,
-first judges a per-game prefix of `_PER_GAME_PREFIX` candidates, so a search
-that stops among them sets up no block; `fuzz_soundness` always tests every
-sample, so it judges blocks from index 0.  Systematic
-mode judges consecutive assignment numbers of one count shape, its rows the
-counts and the digits of each number, and walks the same numbers one game
-at a time where no block layout applies.  The first block holds
-`_FIRST_BLOCK` candidates, and each later block as many as all blocks
-before it (`_block_size`), up to `_BLOCK_ELEMENTS` padded elements; the
-budget is still checked per candidate in order.  Candidates are judged per
+strategy counts first and then only the splitmix64 outputs of the draws
+that each candidate reads.  A random search that can stop early,
+`find_counterexample`, first judges a per-game prefix of `_PER_GAME_PREFIX`
+candidates, so a search that stops among them sets up no block;
+`fuzz_soundness` always tests every sample, so it judges blocks from
+index 0.  Systematic mode judges consecutive assignment numbers of one
+count shape: one placement of the shape's cells serves the whole block,
+and each cell reads the digit of its draw in each number.  It walks the
+same numbers one game at a time where no block layout applies.  The first
+block holds `_FIRST_BLOCK` candidates, and each later block as many as all
+blocks before it (`_block_size`), up to `_BLOCK_ELEMENTS` padded elements;
+the budget is still checked per candidate in order.  Candidates are judged per
 game instead when an output in their random window was rejected, and when
 the padded grid has more than `_GRID_PROFILES` profiles (past it the dense
 grid costs more than the sparse per-game join, and the profile cap cannot
@@ -348,7 +349,8 @@ _PER_GAME_PREFIX = 8
 # are of the same order.
 _FIRST_BLOCK = 64
 # A block holds at most this many padded elements: its candidates times the
-# larger of a candidate's padded profile grid and its draws.
+# larger of a candidate's padded profile grid and the draw indices its cells
+# can read (`_BlockLayout.draws`: the strategy counts and every padded cell).
 _BLOCK_ELEMENTS = 1 << 16
 # Graphs whose padded grid has more profiles than this are judged per game.
 # A block pays, per candidate, one gather per player and one grouping per
@@ -358,7 +360,7 @@ _BLOCK_ELEMENTS = 1 << 16
 # or 8192 (refute) profiles on.
 _GRID_PROFILES = 1 << 12
 # Each strategy of a cell that its candidate does not have adds this to the
-# cell's place in `_BlockLayout`: more than any flat index into a block.
+# cell's place in `_BlockLayout`: more than any draw index.
 _PADDED = 2.0 ** 40
 
 
@@ -386,14 +388,14 @@ def _rejection_limit(bound: int):
 class _BlockLayout:
     """The index tables of one search, shared by all its blocks.
 
-    A block is a range of candidates judged at once from their raw
-    outputs, `raw[draw, candidate]`: a candidate's strategy counts and then
-    its payoff cells in draw order, as `_draw` reads them.
-    `systematic_block` fills a raw block with the counts of one shape and
-    the digits of its assignment numbers, and `judge` reads it.
-    `random_block` computes the counts from splitmix64 states first, then
-    only the outputs its candidates read, and alone checks for rejected
-    outputs.
+    A block is a range of candidates judged at once, each payoff cell read
+    by the index of its draw: a candidate's strategy counts come first and
+    then its payoff cells in draw order, as `_draw` reads them.
+    `random_block` mixes the counts from splitmix64 states first, then only
+    the outputs of the draws its candidates read, and alone checks for
+    rejected outputs.  `systematic_block` places the cells of one count
+    shape once for the whole block and reads each as a digit of the
+    assignment number.
 
     Block arrays run over the candidates on their last axis.  Each player's
     local table is padded to m = `max_strategies` strategies per member and
@@ -403,28 +405,28 @@ class _BlockLayout:
     order.  A best response is then a max over the first axis of the
     `(m, rows, candidates)` array of cells.
 
-    A cell's flat index into the raw block is linear in the strides of its
-    owner's actual table, the sizes of the tables before it and its
-    candidate, and each strategy of a cell that its candidate does not have
-    (a padded cell) adds `_PADDED`, so one product `placement @ features`
-    places every cell of a block and marks the padded ones (`_live`).  The
-    live cells of a candidate are exactly its payoff cell draws.
+    A cell's draw index, less the n count draws, is linear in the strides
+    of its owner's actual table and the sizes of the tables before it, and
+    each strategy of a cell that its candidate does not have (a padded
+    cell) adds `_PADDED`, so one product `placement @ features` places
+    every cell of a block and marks the padded ones (`_live`).  The live
+    cells of a candidate are exactly its payoff cell draws.
     `gather[p, profile]` is player p's cell at each profile of the padded
     grid of m^n profiles (declaration order, last player fastest).  Fuzz
     blocks group only the cover of the derived goals (`_fuzz_goals`): every
     goal holds where the cover holds.
     """
 
-    def __init__(self, graph: DependencyGraph, bounds: SearchBounds, per_candidate: int):
+    def __init__(self, graph: DependencyGraph, bounds: SearchBounds):
         import numpy as np
 
         n, m = len(graph.players), bounds.max_strategies
         self.graph, self.n, self.m = graph, n, m
         local = [graph.local_indices(p) for p in graph.players]
         width = max(map(len, local))
-        # members in local order, padded with n (count 1) and ended by n + 1
-        # (the block size)
-        self.members = np.array([[*members, *[n] * (width - len(members)), n + 1]
+        # members in local order, padded with n (count 1) to width + 1, so
+        # that the products after each of the first width members are strides
+        self.members = np.array([[*members, *[n] * (width + 1 - len(members))]
                                  for members in local])
         # power[i, q]: the place value of member q in player i's local
         # number, own strategy first and the other members in local order;
@@ -444,8 +446,8 @@ class _BlockLayout:
 
         # padded cell d * rows + r, own strategy d in row r of its owner: the
         # digit of each player in it, then the placement columns (strides in
-        # local order, the sizes of earlier tables, the candidate, and each
-        # member's strategy if too large)
+        # local order, the sizes of earlier tables, and each member's
+        # strategy if too large)
         owner = np.repeat(np.arange(n), rows_of)
         number = (np.arange(m)[:, None] * np.repeat(rows_of, rows_of)
                   + np.arange(self.rows) - row_starts[owner])
@@ -457,7 +459,6 @@ class _BlockLayout:
         self.placement = np.concatenate([
             strides.reshape(m, self.rows, -1),
             np.broadcast_to(np.arange(n) < owner[:, None], (m, self.rows, n)),
-            np.ones((m, self.rows, 1)),
             too_large.reshape(m, self.rows, -1) * _PADDED], axis=2).reshape(self.cells, -1)
         place = power[:, :n].astype(float)
         np.fill_diagonal(place, self.rows)
@@ -469,7 +470,7 @@ class _BlockLayout:
         self.values = np.uint64(values)
         self.ranks = np.array(_ranks(bounds.payoff_values), np.min_scalar_type(-values))
         self.limits = (_rejection_limit(m), _rejection_limit(values))
-        self.max_block = _BLOCK_ELEMENTS // per_candidate
+        self.max_block = _BLOCK_ELEMENTS // max(m ** n, self.draws)
         self._groupings: dict = {}
 
     @classmethod
@@ -483,31 +484,25 @@ class _BlockLayout:
         n, m = len(graph.players), bounds.max_strategies
         if not 0 < n < 32 or m ** n > _GRID_PROFILES:
             return None
-        draws = n + sum(m ** len(graph.local_indices(p)) for p in graph.players)
-        return cls(graph, bounds, max(m ** n, draws))
+        return cls(graph, bounds)
 
     def _live(self, counts):
         """Where the candidates of a block with strategy counts
         `counts[player, candidate]` read their cells: the padded cells'
         liveness `live[cell, candidate]`, the flat positions `at` of the
-        live ones, and where each reads its draw in a raw block of the
-        block's size (`judge`), as a flat index."""
+        live ones, and the draw index that each of them reads."""
         import numpy as np
 
         size = counts.shape[1]
-        # every product ends with the block size, so strides and table sizes
-        # come out scaled to rows of the raw block
-        local = np.vstack([counts, np.ones((1, size), np.intp),
-                           np.full((1, size), size)]).take(self.members, axis=0)
+        local = np.vstack([counts, np.ones((1, size), np.intp)]).take(self.members, axis=0)
         within = np.cumprod(local[:, ::-1], axis=1)[:, ::-1]
         too_large = counts[:, None, :] <= self.strategies
         features = np.concatenate([within[:, 1:].reshape(-1, size), within[:, 0],
-                                   np.arange(self.n * size, (self.n + 1) * size)[None],
                                    too_large.reshape(-1, size)])
         place = self.placement @ features
         live = place < _PADDED
         at = np.flatnonzero(live)
-        return live, at, place.ravel()[at].astype(np.intp)
+        return live, at, self.n + place.ravel()[at].astype(np.intp)
 
     def _mask(self, live, at, outputs):
         """The equilibrium mask `mask[profile, candidate]` over the padded
@@ -523,64 +518,55 @@ class _BlockLayout:
         best &= live.reshape(best.shape)
         return best.reshape(self.cells, size).take(self.gather, axis=0).all(axis=0)
 
-    def judge(self, raw):
-        """The strategy counts `counts[player, candidate]` of a raw block and
-        its equilibrium mask: `raw[j, c]` is draw j of candidate c, a count
-        its draw mod m, plus 1."""
-        import numpy as np
-
-        counts = (raw[:self.n] % np.uint64(self.m)).astype(np.intp) + 1
-        live, at, flat = self._live(counts)
-        return counts, self._mask(live, at, raw.ravel().take(flat))
-
     def random_block(self, seed: int, start: int, size: int):
         """Candidates `start .. start+size-1` of the random stream with `seed`:
         their strategy counts, whether each was rejected, and the mask.
 
         Draw j of candidate i comes from state `s_i + (j+1) * 0x9E3779B97F4A7C15`
-        (mod 2^64), so each raw output is one array element.  The counts are
-        mixed first, then only the live cells: they are the candidate's
-        window of draws, and a candidate with an output in it at or above its
-        rejection limit draws differently, so its mask must not be used.
+        (mod 2^64).  The count draws are mixed first, then only the draws of
+        the live cells: they are the candidate's window of draws, and a
+        candidate with an output in it at or above its rejection limit draws
+        differently, so its mask must not be used.
         """
         import numpy as np
 
-        n = self.n
         index = np.arange(start + 1, start + size + 1, dtype=np.uint64)
         states = np.uint64(seed) ^ (index * np.uint64(_GOLDEN))
-        raw = self.steps[:, None] + states   # states; cells are mixed once placed
-        head = _mix(raw[:n])
+        head = _mix(self.steps[:self.n, None] + states)
         counts = (head % np.uint64(self.m)).astype(np.intp) + 1
-        live, at, flat = self._live(counts)
-        outputs = _mix(raw.ravel().take(flat))
+        live, at, draws = self._live(counts)
+        candidates = at % size
+        outputs = _mix(self.steps.take(draws) + states.take(candidates))
         mask = self._mask(live, at, outputs)
         count_limit, cell_limit = self.limits
         rejected = np.zeros(size, bool)
         if count_limit is not None:
             rejected |= (head >= count_limit).any(axis=0)
         if cell_limit is not None:
-            rejected[flat[outputs >= cell_limit] % size] = True
+            rejected[candidates[outputs >= cell_limit]] = True
         return counts.T.tolist(), rejected.tolist(), mask
 
-    def systematic_block(self, counts, cells: int, start: int, size: int):
+    def systematic_block(self, counts, start: int, size: int):
         """The mask of assignment numbers `start .. start+size-1` of the shape
-        `counts` with `cells` payoff cells: row i of the raw block holds
-        `counts[i] - 1`, and row n + j digit j of the assignment number (base
-        V, the number of payoff values, most significant first), so a cell's
-        value index is its digit.  Digits whose place value exceeds the
-        block's last number are 0, and are not computed: every place value
-        computed is at most that number, so it fits a uint64."""
+        `counts`.  Every number has the same counts, so one column places the
+        cells of the whole block.  A cell's value index is the digit of its
+        draw (base V, the number of payoff values): the shape's last draw is
+        the least significant digit.  Only the digits whose place value is
+        at most the block's last number are computed, so every place value
+        fits a uint64; the higher ones are 0."""
         import numpy as np
 
-        raw = np.zeros((self.n + cells, size), np.uint64)
-        raw[:self.n] = np.array(counts, np.uint64)[:, None] - np.uint64(1)
+        live, _, draws = self._live(np.array(counts)[:, None])
+        live = np.broadcast_to(live, (self.cells, size))
         numbers = np.arange(size, dtype=np.uint64) + np.uint64(start)
-        base = len(self.ranks)
-        last, place, row = start + size - 1, 1, self.n + cells - 1
-        while place <= last:
-            raw[row] = numbers // np.uint64(place) % self.values
-            place, row = place * base, row - 1
-        return self.judge(raw)[1]
+        places, place = [], 1
+        while place <= start + size - 1:
+            places.append(place)
+            place *= len(self.ranks)
+        digits = np.zeros((len(places) + 1, size), np.uint64)   # last row: the higher digits
+        digits[:-1] = numbers // np.array(places, np.uint64)[:, None] % self.values
+        outputs = digits.take(np.minimum(draws.max() - draws, len(places)), axis=0)
+        return self._mask(live, np.flatnonzero(live), outputs.ravel())
 
     def holds(self, mask, atom: Atom):
         """Per column of the equilibrium mask, whether `atom` holds: grouped
@@ -716,7 +702,7 @@ def _systematic_candidates(graph: DependencyGraph, bounds: SearchBounds, judge):
                 yield counts, functools.partial(_assignment_cells, start, base, sizes), None
                 return
             verdicts = (itertools.repeat(None, size) if layout is None else
-                        judge(layout, layout.systematic_block(counts, sum(sizes), start, size)))
+                        judge(layout, layout.systematic_block(counts, start, size)))
             for number, verdict in zip(itertools.count(start), verdicts):
                 yield (counts, functools.partial(_assignment_cells, number, base, sizes),
                        verdict)

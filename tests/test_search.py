@@ -704,6 +704,7 @@ class TestAgainstPerGameLoops:
 
     @pytest.mark.parametrize("index, draw", [
         (0, 0),     # candidate 0's first strategy count, judged per game
+        (20, 0),    # the first strategy count of a candidate inside a block
         (20, 4),    # the first payoff cell of a candidate inside a block
     ])
     def test_rejected_draws_are_redrawn(self, index, draw, monkeypatch):
@@ -805,9 +806,9 @@ def _record_blocks(monkeypatch):
     calls = []
     real = _BlockLayout.systematic_block
 
-    def record(layout, counts, cells, start, size):
+    def record(layout, counts, start, size):
         calls.append((tuple(counts), start, size, layout.max_block))
-        return real(layout, counts, cells, start, size)
+        return real(layout, counts, start, size)
     monkeypatch.setattr(_BlockLayout, "systematic_block", record)
     return calls
 
@@ -940,33 +941,45 @@ class TestSystematicBlocks:
         assert built == [None] * len(cases)
 
     def test_block_masks_are_the_equilibria_of_their_games(self):
-        # shape (1, 2, 1) of gamma3 follows 27 + 243 games; 3 unsorted values
-        graph = builtin_graph("gamma3")
-        bounds = SearchBounds(max_strategies=2, payoff_values=(1, -2, 0), mode="systematic")
-        layout = _BlockLayout.of(graph, bounds)
-        start, size = 100, 64
-        mask = layout.systematic_block((1, 2, 1), 6, start, size)   # 3^6 games
-        games = itertools.islice(games_in_canonical_order(graph, bounds),
-                                 270 + start, 270 + start + size)
-        grid = list(itertools.product("01", repeat=3))
-        for column, game in zip(mask.T, games):
-            assert {grid[i] for i in np.flatnonzero(column)} == set(equilibria(game))
+        cases = [
+            ("gamma3", 2, (1, 2, 1), (1, -2, 0), 100, 64),   # 3^6 numbers, unsorted values
+            ("gamma3", 2, (1, 2, 1), (1, -2, 0), 0, 1),      # number 0: no digit computed
+            ("pair", 3, (3, 2), (5,), 0, 1),                 # one value: one number a shape
+            ("gamma3", 2, (2, 2, 2), (0, 1), 5_000, 65),     # 16 cells
+            ("gamma3", 2, (2, 2, 2), (0, 1), 2 ** 16 - 65, 65),   # ends at the last number
+            # gamma5 at two strategies each: 60 cells, from past 2^40 to the
+            # last number, which uses all 60 digits
+            ("gamma5", 2, (2,) * 6, (0, 1), 2 ** 40 + 12_345, 600),
+            ("gamma5", 2, (2,) * 6, (1, -2, 0), 2 ** 41 + 3, 65),
+            ("gamma5", 2, (2,) * 6, (0, 1), 2 ** 60 - 600, 600),
+            # 33 cells of padded tables: the last number uses all 33 digits
+            ("gamma5", 3, (2, 1, 3, 2, 2, 1), (1, -2, 0), 3 ** 33 - 600, 600),
+        ]
+        for name, most, counts, values, start, size in cases:
+            graph = builtin_graph(name)
+            layout = _BlockLayout.of(graph, SearchBounds(max_strategies=most,
+                                                         payoff_values=values))
+            mask = layout.systematic_block(counts, start, size)
+            assert mask.shape == (most ** len(graph.players), size)
+            grid = list(itertools.product(map(str, range(most)), repeat=len(graph.players)))
+            for number, column in zip(itertools.count(start), mask.T):
+                game = _game_of_number(graph, counts, values, number)
+                assert {grid[i] for i in np.flatnonzero(column)} == set(equilibria(game))
 
-    def test_the_judge_reads_every_output_the_same_way(self):
-        # outputs at the top of the range, which the random stream would
-        # redraw, are read mod m and mod the number of values like any other;
-        # both are 3, so the outputs mod 9 must read the same
-        graph = builtin_graph("gamma1")
-        bounds = SearchBounds(max_strategies=3, payoff_values=(0, 1, 2))
-        layout = _BlockLayout.of(graph, bounds)
-        rng = random.Random(6)
-        raw = [[MASK64 - rng.randrange(40) for _ in range(50)] for _ in range(layout.draws)]
-        top = np.array(raw, np.uint64)
-        counts, mask = layout.judge(top)
-        low_counts, low_mask = layout.judge(top % np.uint64(9))
-        assert (top >= layout.limits[0]).any() and (top >= layout.limits[1]).any()
-        assert (counts == low_counts).all() and (mask == low_mask).all()
-        assert mask.any()
+
+def _game_of_number(graph, counts, values, number):
+    """The game of assignment `number` of the shape `counts`, built with
+    `Game.of` from the number's own base-V digits: players in declaration
+    order, local assignments row-major, the last cell least significant."""
+    strategies = {p: [str(i) for i in range(k)] for p, k in zip(graph.players, counts)}
+    cells = [(p, key) for p in graph.players
+             for key in itertools.product(*(strategies[q] for q in graph.local_order(p)))]
+    payoffs = {p: {} for p in graph.players}
+    for p, key in reversed(cells):
+        number, digit = divmod(number, len(values))
+        payoffs[p][key] = values[digit]
+    assert number == 0, "the number is past the last of its shape"
+    return Game.of(graph, strategies, payoffs)
 
 
 def _record_random_blocks(monkeypatch):
