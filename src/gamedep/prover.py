@@ -30,6 +30,10 @@ Saturation proceeds in snapshot sweeps: each sweep applies one rule to
 every row of the table as it stood before the sweep.  Chain sweeps, for
 rule (ii), repeat until nothing changes; then one Contiguity sweep, for
 rule (iii), runs, and the two alternate until neither adds a fact.
+`saturate` always runs to that fixpoint.  `derives` and `derive_tree`
+stop at their goal's snapshot: after the seeded table, or after the first
+sweep, whose goal row holds the rhs.  A goal that is not derivable still
+runs to the fixpoint.
 
 A chain sweep is a subset-OR transform: up[Z], the union of cl(Y) over all
 Y inside Z, is built in place in n passes (pass v ORs each row without
@@ -57,21 +61,33 @@ is rule (iii) for every source, every cut and every c at once, exactly.
 How many pairs there are depends on the edges: 39,203 on a 12-cycle,
 8,191 on the complete graph of 12, and all 3^n only on an edgeless graph.
 
-The cuts enter through one cut table, built from the graph once per
-saturation: one array of border(U) | border(W) for every left side U, and
-the pair table above, read from it.  The tree builder keeps the array, and
-for a fact about v searches the left sides U with v outside it, in
-ascending order, for the cut that produced the fact.
+Each Contiguity sweep ORs in only the pairs whose key row changed since
+the table the previous Contiguity sweep read; before the first one, that
+baseline is the identity table.  This is exact: rows only grow, so an
+unchanged key's contribution is already in its target, and against the
+identity a pair adds key & W = Y, which its target border(U) | Y already
+holds.  So the sweep that confirms the fixpoint scatters only the pairs
+whose key rows the sweeps since the previous Contiguity sweep changed.
+
+The cuts enter through one cut table, built from the graph on first use,
+just before the first Contiguity sweep, so a goal that holds before any
+Contiguity sweep never builds it: one array of border(U) | border(W) for
+every left side U, and the pair table above, read from it.  The tree
+builder keeps the array, and for a fact about v searches the left sides U
+with v outside it, in ascending order, for the cut that produced the fact.
 
 Saturation keeps cl as it stood after each sweep.  A fact's sweep is the
 first snapshot that holds it, which lets `derive_tree` rebuild an
 explicit, independently checkable derivation by running the producing
-rule of each fact backwards against the snapshot before.
+rule of each fact backwards against the snapshot before.  The builder
+reads only the snapshots up to each fact's first one, so a table stopped
+at the goal's snapshot gives the same derivation as the full one.
 
-numpy is imported inside the code that uses it (`_cut_table`, `saturate`,
-`_TreeBuilder`), not at module level: every `gamedep` process imports this
-module, but only saturation needs numpy, and importing it is most of the
-start-up of `ne`, `check`, `validate` and `prove-check`.
+numpy is imported inside the code that uses it (`_cut_table`,
+`_Contiguity`, `_sweeps`, `_TreeBuilder`), not at module level: every
+`gamedep` process imports this module, but only saturation needs numpy,
+and importing it is most of the start-up of `ne`, `check`, `validate` and
+`prove-check`.
 """
 
 from __future__ import annotations
@@ -259,19 +275,21 @@ def _cut_table(graph: DependencyGraph) -> tuple[np.ndarray,
 
 @dataclass
 class ClosureTable:
-    """Saturated closure of every vertex subset under the hypotheses.
+    """Closure of every vertex subset under the hypotheses, sweep by sweep.
 
     `_history[s]` is cl as it stood after sweep s, index 0 being the seeded
-    table, and `_kinds[s]` names that sweep; the last snapshot is the
-    fixpoint.  `_borders` is the border array of the cut table saturation
-    built, kept for the tree builder.
+    table, and `_kinds[s]` names that sweep.  From `saturate` the last
+    snapshot is the fixpoint; the tables `derives` and `derive_tree` build
+    for a goal end at the first snapshot that holds it.  `_borders` is the
+    border array of the cut table the Contiguity sweeps read, kept for the
+    tree builder, and None when no Contiguity sweep ran.
     """
 
     graph: DependencyGraph
     hypotheses: Hypotheses
     _history: tuple[np.ndarray, ...]
     _kinds: tuple[str, ...]    # sweep kinds; index 0 is the seeding
-    _borders: np.ndarray       # _borders[U]: border(U) | border(W), W the complement of U
+    _borders: np.ndarray | None  # _borders[U]: border(U) | border(W), W the complement of U
 
     def closure_mask(self, lhs_mask: int) -> int:
         return int(self._history[-1][lhs_mask])
@@ -284,24 +302,56 @@ class ClosureTable:
         return rhs_mask & ~self.closure_mask(self.graph.mask_of(lhs)) == 0
 
 
-def saturate(graph: DependencyGraph,
-             hypotheses: Hypotheses | Iterable) -> ClosureTable:
-    """Run the closure computation to its global fixpoint."""
-    import numpy as np
+class _Contiguity:
+    """The Contiguity sweeps of one saturation, over its cut table.
 
-    n = _check_size(graph)
+    A sweep ORs cl(key) & W into the row of each pair's target, but only
+    for the pairs whose key row changed since the table the previous sweep
+    read, the identity table before the first; the module docstring says
+    why that is exact.
+    """
+
+    def __init__(self, graph: DependencyGraph):
+        import numpy as np
+
+        self.borders, (self.keys, self.targets, self.outside) = _cut_table(graph)
+        self.read = np.arange(1 << len(graph.players), dtype=np.int64)
+
+    def sweep(self, cl: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        changed = np.flatnonzero((cl != self.read)[self.keys])
+        new = cl.copy()
+        np.bitwise_or.at(new, self.targets[changed],
+                         cl[self.keys[changed]] & self.outside[changed])
+        self.read = cl
+        return new
+
+
+def _checked(graph: DependencyGraph, hypotheses: Hypotheses | Iterable) -> Hypotheses:
+    """The hypotheses, after the size guard and a check of their players."""
+    _check_size(graph)
     if not isinstance(hypotheses, Hypotheses):
         hypotheses = Hypotheses.of(hypotheses)
     for atom in hypotheses:
         graph.check_players(atom.lhs)
         graph.check_players(atom.rhs)
+    return hypotheses
 
-    borders, (keys, targets, outside) = _cut_table(graph)
+
+def _sweeps(graph: DependencyGraph, hypotheses: Hypotheses,
+            goal: tuple[int, int] | None = None) -> ClosureTable:
+    """Sweep to the fixpoint, or, given goal masks (lhs, rhs), only until
+    the seeded table or a recorded snapshot has the rhs in the lhs row."""
+    import numpy as np
+
+    n = len(graph.players)
     cl = np.arange(1 << n, dtype=np.int64)
     for atom in hypotheses:
         cl[graph.mask_of(atom.lhs)] |= graph.mask_of(atom.rhs)
     history = [cl]
     kinds = ["seed"]
+    contiguity = None
 
     def record(new: np.ndarray, kind: str) -> bool:
         nonlocal cl
@@ -312,29 +362,43 @@ def saturate(graph: DependencyGraph,
         cl = new
         return True
 
-    while True:
-        progressed = False
-        while True:
-            up = cl.copy()
-            for v in range(n):
-                halves = up.reshape(-1, 2, 1 << v)
-                halves[:, 1] |= halves[:, 0]
-            if not record(up[cl], "chain"):
-                break
-            progressed = True
-        new = cl.copy()
-        np.bitwise_or.at(new, targets, cl[keys] & outside)
-        if record(new, "contiguity"):
-            progressed = True
-        if not progressed:
+    # chain sweeps until nothing changes, then one Contiguity sweep; the
+    # fixpoint is a Contiguity sweep that adds nothing
+    while goal is None or goal[1] & ~int(cl[goal[0]]):
+        up = cl.copy()
+        for v in range(n):
+            halves = up.reshape(-1, 2, 1 << v)
+            halves[:, 1] |= halves[:, 0]
+        if record(up[cl], "chain"):
+            continue
+        if contiguity is None:
+            contiguity = _Contiguity(graph)
+        if not record(contiguity.sweep(cl), "contiguity"):
             break
 
-    return ClosureTable(graph, hypotheses, tuple(history), tuple(kinds), borders)
+    return ClosureTable(graph, hypotheses, tuple(history), tuple(kinds),
+                        None if contiguity is None else contiguity.borders)
+
+
+def saturate(graph: DependencyGraph,
+             hypotheses: Hypotheses | Iterable) -> ClosureTable:
+    """Run the closure computation to its global fixpoint.
+
+    Unlike `derives` and `derive_tree`, which stop at their goal's
+    snapshot, this always runs every sweep up to the fixpoint, so the
+    table answers every goal and ends with the Contiguity sweep that adds
+    nothing.
+    """
+    return _sweeps(graph, _checked(graph, hypotheses))
 
 
 def derives(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
             lhs: Iterable[str], rhs: Iterable[str]) -> bool:
-    return saturate(graph, hypotheses).derives(lhs, rhs)
+    hypotheses = _checked(graph, hypotheses)
+    rhs_mask = graph.mask_of(rhs)
+    lhs_mask = graph.mask_of(lhs)
+    table = _sweeps(graph, hypotheses, (lhs_mask, rhs_mask))
+    return rhs_mask & ~table.closure_mask(lhs_mask) == 0
 
 
 class _TreeBuilder:
@@ -493,14 +557,14 @@ class _TreeBuilder:
 def derive_tree(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
                 lhs: Iterable[str], rhs: Iterable[str]) -> Derivation | None:
     """An explicit derivation of `lhs |> rhs`, or None when there is none."""
-    table = saturate(graph, hypotheses)
-    lhs = graph.check_players(lhs)
-    rhs = graph.check_players(rhs)
-    if not table.derives(lhs, rhs):
+    hypotheses = _checked(graph, hypotheses)
+    lhs_mask = graph.mask_of(graph.check_players(lhs))
+    rhs_mask = graph.mask_of(graph.check_players(rhs))
+    table = _sweeps(graph, hypotheses, (lhs_mask, rhs_mask))
+    if rhs_mask & ~table.closure_mask(lhs_mask):
         return None
     builder = _TreeBuilder(table)
-    root = builder.goal(graph.mask_of(lhs), graph.mask_of(rhs))
-    return builder.compact(root)
+    return builder.compact(builder.goal(lhs_mask, rhs_mask))
 
 
 # --- checking ---------------------------------------------------------------

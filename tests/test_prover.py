@@ -21,7 +21,10 @@ from gamedep.prover import (
     Reflexivity,
     Step,
     Transitivity,
+    _Contiguity,
+    _TreeBuilder,
     _cut_table,
+    _sweeps,
     check_derivation,
     derive_tree,
     derives,
@@ -759,3 +762,126 @@ class TestSweepOracle:
             "two-components", "isolated-vertices"])
     def test_matches_on_edge_cases(self, spec, hyps):
         assert_same_sweeps(graph_of(spec), [atom(lhs, rhs) for lhs, rhs in hyps])
+
+
+def tree_from(table, lhs_mask, rhs_mask) -> str:
+    builder = _TreeBuilder(table)
+    return print_derivation(builder.compact(builder.goal(lhs_mask, rhs_mask)), table.graph)
+
+
+def stops(history, lhs, rhs):
+    """The index of the first snapshot that holds each goal (lhs, rhs masks,
+    broadcast together), len(history) where none does."""
+    stop = np.full(np.broadcast(lhs, rhs).shape, len(history))
+    for s in reversed(range(len(history))):
+        stop[(rhs & ~history[s][lhs]) == 0] = s
+    return stop
+
+
+def assert_stops_at_goal(graph, hyps, pick=lambda goals: goals[0]):
+    """For one goal per stop, picked from those with that stop in (lhs,
+    rhs) order, the table saturated for it is `saturate`'s up to the first
+    snapshot that holds the goal, all of it when none does, and a derivable
+    goal prints the same derivation from it as from the full table."""
+    hyps = Hypotheses.of(hyps)
+    full = saturate(graph, hyps)
+    size = 1 << len(graph.players)
+    stop = stops(full._history, *np.divmod(np.arange(size * size), size))
+    goals = [divmod(int(pick(np.flatnonzero(stop == s))), size) for s in np.unique(stop)]
+    for lhs, rhs in goals:
+        table = _sweeps(graph, hyps, (lhs, rhs))
+        last = min(int(stops(full._history, lhs, rhs)), len(full._history) - 1)
+        assert table._kinds == full._kinds[:last + 1]
+        assert len(table._history) == last + 1
+        for mine, theirs in zip(table._history, full._history):
+            assert np.array_equal(mine, theirs)
+        if rhs & ~table.closure_mask(lhs) == 0:
+            assert (table._borders is None) == ("contiguity" not in table._kinds)
+            assert tree_from(table, lhs, rhs) == tree_from(full, lhs, rhs)
+
+
+class TestGoalStop:
+    """`derive_tree` and `derives` saturate only as far as their goal."""
+
+    def test_every_graph_of_at_most_3_players_and_2_hypotheses(self):
+        for n in range(1, 4):
+            players = "abc"[:n]
+            pairs = list(itertools.combinations(players, 2))
+            sets = [frozenset(c) for r in range(n + 1)
+                    for c in itertools.combinations(players, r)]
+            # a hypothesis whose rhs lies inside its lhs seeds nothing
+            atoms = [Atom(lhs, rhs) for lhs in sets for rhs in sets if not rhs <= lhs]
+            hypothesis_sets = [[]] + [[a] for a in atoms] + [
+                list(two) for two in itertools.combinations(atoms, 2)]
+            for chosen in range(1 << len(pairs)):
+                graph = DependencyGraph.of(
+                    players, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+                for hyps in hypothesis_sets:
+                    assert_stops_at_goal(graph, hyps)
+
+    @pytest.mark.parametrize("sizes, cases", [((4, 5), 60), ((8, 10), 20)])
+    def test_seeded_graphs(self, sizes, cases):
+        rng = random.Random(20)
+        for _ in range(cases):
+            players = list("abcdefghij"[:rng.randint(*sizes)])
+            edges = [e for e in itertools.combinations(players, 2)
+                     if rng.random() < rng.choice((0.15, 0.3, 0.5))]
+            graph = DependencyGraph.of(players, edges)
+            hyps = [Atom(frozenset(rng.sample(players, rng.randint(0, 3))),
+                         frozenset(rng.sample(players, rng.randint(1, 2))))
+                    for _ in range(rng.randint(0, 3))]
+            assert_stops_at_goal(graph, hyps, rng.choice)
+
+
+class TestChangedKeys:
+    """A Contiguity sweep that scatters only the pairs whose key row changed
+    since the table the previous sweep read (the identity before the first)
+    adds what a sweep of every pair adds, on any tables whose rows grow."""
+
+    def test_matches_a_sweep_of_every_pair_on_grown_tables(self):
+        rng = np.random.default_rng(7)
+        graphs = [builtin_graph(name) for name in ("gamma1", "gamma4", "gamma5", "triangle")]
+        graphs.append(graph_of(("a b c d e", "")))
+        graphs.append(graph_of(CYCLE12))
+        for _ in range(20):
+            players = list("abcdefgh"[:rng.integers(2, 9)])
+            graphs.append(DependencyGraph.of(players, [
+                e for e in itertools.combinations(players, 2) if rng.random() < 0.35]))
+        for graph in graphs:
+            n = len(graph.players)
+            bits = np.int64(1) << np.arange(n, dtype=np.int64)
+
+            def grown(table):
+                rows = rng.random(len(table)) < 0.3
+                return table | np.where(rows, (rng.random((len(table), n)) < 0.2) @ bits, 0)
+
+            _, (keys, targets, outside) = _cut_table(graph)
+            contiguity = _Contiguity(graph)
+            cl = grown(np.arange(1 << n, dtype=np.int64))
+            for _ in range(3):
+                every_pair = cl.copy()
+                np.bitwise_or.at(every_pair, targets, cl[keys] & outside)
+                new = contiguity.sweep(cl)
+                assert np.array_equal(new, every_pair)
+                cl = grown(new)
+
+
+class TestCheckOrder:
+    """`derive_tree` and `derives` apply the size guard first, then check the
+    hypotheses' players, then the goal's."""
+
+    @pytest.mark.parametrize("prove", [derive_tree, derives])
+    def test_size_guard_before_unknown_goal_players(self, prove):
+        names = [f"p{i}" for i in range(MAX_SATURATION_VERTICES + 1)]
+        edges = [(names[i], names[i + 1]) for i in range(len(names) - 1)]
+        graph = DependencyGraph.of(names, edges)
+        with pytest.raises(ResourceLimitError, match="capped"):
+            prove(graph, [atom("zz", "p0")], {"zz"}, {"p1"})
+
+    @pytest.mark.parametrize("prove", [derive_tree, derives])
+    def test_unknown_hypothesis_players_before_unknown_goal_players(self, prove):
+        graph = builtin_graph("gamma1")
+        with pytest.raises(InputError, match="unknown player 'yy'"):
+            prove(graph, [atom("a", "yy")], {"zz"}, {"ww"})
+        with pytest.raises(InputError, match="unknown player 'zz'"):
+            prove(graph, [atom("a", "d")], {"zz"}, {"a"})
