@@ -30,10 +30,44 @@ Saturation proceeds in snapshot sweeps: each sweep applies one rule to
 every row of the table as it stood before the sweep.  Chain sweeps, for
 rule (ii), repeat until nothing changes; then one Contiguity sweep, for
 rule (iii), runs, and the two alternate until neither adds a fact.
-`saturate` always runs to that fixpoint.  `derives` and `derive_tree`
-stop at their goal's snapshot: after the seeded table, or after the first
-sweep, whose goal row holds the rhs.  A goal that is not derivable still
-runs to the fixpoint.
+`saturate` always runs to that fixpoint.  `derive_tree` first asks the
+fixpoint test below, which needs no table, and returns None for a goal
+that is not derivable; a derivable goal saturates only as far as its
+goal's snapshot: the seeded table, or the first sweep whose goal row holds
+the rhs.  `derives` is the fixpoint test alone.
+
+The fixpoint test decides whether v lies in cl(X) without the 2^n table.
+Let G² join two players at distance 1 or 2 in the graph, and H(Z) be Z
+closed under the hypotheses alone (if A lies inside Z, add B):
+
+  D <- H(X)
+  while v is not in D:
+      K <- the component of v in G² restricted to V minus D
+      P <- H(V minus K) & K
+      if P is empty: v is not derivable
+      D <- D | P
+
+Each round adds to D, so there are at most n rounds, each one Horn
+closure and one component search in G².  For an rhs of several players D
+carries over from one to the next, since it stays inside cl(X):
+
+* Derivable side.  Let W = N[K], the players at distance at most 1 from
+  K, and U = V minus W.  A player at distance 1 or 2 from K is in K or in
+  D, so border(U) and N(K) = W minus K lie in D, and border(W) lies in
+  N(K).  The hypotheses give (V minus K) |> P by Reflexivity,
+  Augmentation and Transitivity, one H step at a time.  V minus K is U
+  together with N(K), so Contiguity on the cut (U, W) with A = U gives
+  border(U), border(W), N(K) |> P, whose lhs lies in D.  With X |> D that
+  gives X |> D | P.
+* Not derivable side.  When P is empty, V minus K holds X and is closed
+  under the hypotheses, and K holds v and is connected in G².  Give every
+  player the strategies 0 and 1: a player outside K prefers 0 iff its
+  neighbours in K all play alike, and one in K prefers 0 if a neighbour
+  outside K plays 1 or its neighbours in K disagree, and else copies them
+  (is indifferent, when it has none).  The game's only equilibria are all
+  0 and 1 on exactly K.  They agree on V minus K, so the game satisfies
+  every hypothesis (one whose lhs meets K holds vacuously), and they
+  differ on v, so it refutes X |> v.  By soundness v is not derivable.
 
 A chain sweep is a subset-OR transform: up[Z], the union of cl(Y) over all
 Y inside Z, is built in place in n passes (pass v ORs each row without
@@ -86,8 +120,8 @@ at the goal's snapshot gives the same derivation as the full one.
 numpy is imported inside the code that uses it (`_cut_table`,
 `_Contiguity`, `_sweeps`, `_TreeBuilder`), not at module level: every
 `gamedep` process imports this module, but only saturation needs numpy,
-and importing it is most of the start-up of `ne`, `check`, `validate` and
-`prove-check`.
+and importing it is most of the start-up of `ne`, `check`, `validate`,
+`prove-check` and a "not derivable" `prove`.
 """
 
 from __future__ import annotations
@@ -279,10 +313,10 @@ class ClosureTable:
 
     `_history[s]` is cl as it stood after sweep s, index 0 being the seeded
     table, and `_kinds[s]` names that sweep.  From `saturate` the last
-    snapshot is the fixpoint; the tables `derives` and `derive_tree` build
-    for a goal end at the first snapshot that holds it.  `_borders` is the
-    border array of the cut table the Contiguity sweeps read, kept for the
-    tree builder, and None when no Contiguity sweep ran.
+    snapshot is the fixpoint; the table `derive_tree` builds for a
+    derivable goal ends at the first snapshot that holds it.  `_borders` is
+    the border array of the cut table the Contiguity sweeps read, kept for
+    the tree builder, and None when no Contiguity sweep ran.
     """
 
     graph: DependencyGraph
@@ -384,12 +418,54 @@ def saturate(graph: DependencyGraph,
              hypotheses: Hypotheses | Iterable) -> ClosureTable:
     """Run the closure computation to its global fixpoint.
 
-    Unlike `derives` and `derive_tree`, which stop at their goal's
-    snapshot, this always runs every sweep up to the fixpoint, so the
-    table answers every goal and ends with the Contiguity sweep that adds
-    nothing.
+    Unlike `derive_tree`, which stops at its goal's snapshot, and
+    `derives`, which builds no table, this always runs every sweep up to
+    the fixpoint, so the table answers every goal and ends with the
+    Contiguity sweep that adds nothing.
     """
     return _sweeps(graph, _checked(graph, hypotheses))
+
+
+def _fixpoint_derives(graph: DependencyGraph, hypotheses: Hypotheses,
+                      lhs_mask: int, rhs_mask: int) -> bool:
+    """Whether the rhs lies inside cl(lhs), by the fixpoint test of the
+    module docstring: no table, and at most n rounds."""
+    rules = [(graph.mask_of(atom.lhs), graph.mask_of(atom.rhs)) for atom in hypotheses]
+
+    def horn(closed: int) -> int:
+        grown = True
+        while grown:
+            grown = False
+            for lhs, rhs in rules:
+                if lhs & ~closed == 0 and rhs & ~closed:
+                    closed |= rhs
+                    grown = True
+        return closed
+
+    # near[v]: the players at distance at most 2 from v, v included
+    near = []
+    for name in graph.players:
+        reach = graph.closed_neighborhood(name)
+        for other in graph.neighbors(name):
+            reach |= graph.neighbors(other)
+        near.append(graph.mask_of(reach))
+    full = (1 << len(graph.players)) - 1
+    derived = horn(lhs_mask)
+    while rhs_mask & ~derived:
+        missing = rhs_mask & ~derived
+        # K: the component of a missing player in G² restricted to V - derived
+        component = frontier = missing & -missing
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown = near[low.bit_length() - 1] & ~derived & ~component
+            component |= grown
+            frontier |= grown
+        gained = horn(full ^ component) & component
+        if not gained:
+            return False
+        derived |= gained
+    return True
 
 
 def derives(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
@@ -397,8 +473,7 @@ def derives(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
     hypotheses = _checked(graph, hypotheses)
     rhs_mask = graph.mask_of(rhs)
     lhs_mask = graph.mask_of(lhs)
-    table = _sweeps(graph, hypotheses, (lhs_mask, rhs_mask))
-    return rhs_mask & ~table.closure_mask(lhs_mask) == 0
+    return _fixpoint_derives(graph, hypotheses, lhs_mask, rhs_mask)
 
 
 class _TreeBuilder:
@@ -560,10 +635,9 @@ def derive_tree(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
     hypotheses = _checked(graph, hypotheses)
     lhs_mask = graph.mask_of(graph.check_players(lhs))
     rhs_mask = graph.mask_of(graph.check_players(rhs))
-    table = _sweeps(graph, hypotheses, (lhs_mask, rhs_mask))
-    if rhs_mask & ~table.closure_mask(lhs_mask):
+    if not _fixpoint_derives(graph, hypotheses, lhs_mask, rhs_mask):
         return None
-    builder = _TreeBuilder(table)
+    builder = _TreeBuilder(_sweeps(graph, hypotheses, (lhs_mask, rhs_mask)))
     return builder.compact(builder.goal(lhs_mask, rhs_mask))
 
 

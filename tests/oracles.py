@@ -3,9 +3,11 @@
 These are deliberately naive: the equilibrium oracle tries every unilateral
 deviation from every profile, the dependence oracle compares every pair of
 equilibria against the definition, the derivability oracle saturates the
-full atom space by literal rule applications, and the sweep oracle runs the
-closure table's snapshot sweeps as per-row and per-source broadcasts.  They
-share no code with the implementations under test.
+full atom space by literal rule applications, the sweep oracle runs the
+closure table's snapshot sweeps as per-row and per-source broadcasts, and
+the semantic closure tries every set of players that a two-equilibrium game
+could leave undetermined.  They share no code with the implementations
+under test.
 
 The search oracles are the per-game loops: every candidate of the documented
 random stream (one splitmix64 draw at a time) or of the canonical
@@ -221,6 +223,42 @@ def saturate_by_sweeps(graph: DependencyGraph, hypotheses: Hypotheses):
         if not progressed:
             break
     return cl, wave, tuple(kinds)
+
+
+def semantic_closure(graph: DependencyGraph, hypotheses: Hypotheses, x) -> frozenset:
+    """The players derivable from the players `x`, read off completeness.
+
+    V minus the union of every nonempty C that avoids x, is connected in G²
+    (players joined at distance 1 or 2 in the graph) and has a complement
+    closed under the hypotheses: such a C carries a game whose only two
+    equilibria differ exactly on C.  Every C is enumerated and checked on
+    its own, with player sets rather than masks.
+    """
+    x = frozenset(x)
+    everyone = graph.player_set()
+    near = {}
+    for p in graph.players:
+        reach = set(graph.neighbors(p))
+        for q in graph.neighbors(p):
+            reach |= graph.neighbors(q)
+        near[p] = reach - {p}
+    free = [p for p in graph.players if p not in x]
+    undetermined: set[str] = set()
+    for size in range(1, len(free) + 1):
+        for members in combinations(free, size):
+            c = frozenset(members)
+            outside = everyone - c
+            if any(atom.lhs <= outside and not atom.rhs <= outside for atom in hypotheses):
+                continue
+            seen = {members[0]}
+            stack = [members[0]]
+            while stack:
+                for q in near[stack.pop()] & (c - seen):
+                    seen.add(q)
+                    stack.append(q)
+            if seen == c:
+                undetermined |= c
+    return everyone - undetermined
 
 
 _GOLDEN = 0x9E3779B97F4A7C15

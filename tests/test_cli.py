@@ -597,8 +597,9 @@ print(json.dumps(answers))
 
 
 class TestColdStart:
-    """`ne`, `check`, `validate` and `prove-check` never import numpy; the
-    commands that use it import it on first use and answer as `main` does."""
+    """`ne`, `check`, `validate`, `prove-check` and a "not derivable"
+    `prove` never import numpy; the commands that use it import it on first
+    use and answer as `main` does."""
 
     def test_numpy_is_imported_only_by_the_commands_that_use_it(self, game_file, path_file,
                                                                  tmp_path, capsys):
@@ -608,7 +609,8 @@ class TestColdStart:
                 ["check", game_file, "a |> b"],
                 ["check", game_file, "{} |> a"],
                 ["validate", game_file],
-                ["prove-check", path_file, str(proof), "--assume", "a |> d"]]
+                ["prove-check", path_file, str(proof), "--assume", "a |> d"],
+                ["prove", path_file, "a |> d"]]
         numeric = [["prove", path_file, "b,c |> d", "--assume", "a |> d"],
                    ["refute", path_file, "a |> d -> b,c |> d", "--samples", "100"],
                    ["refute", path_file, "a |> b", "--mode", "systematic",

@@ -8,8 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gamedep import prover
+from gamedep.cli import main
 from gamedep.core import Atom, Cut, DependencyGraph, InputError, ResourceLimitError
-from gamedep.parser import ParseError, parse_atom, parse_derivation, print_derivation
+from gamedep.parser import (
+    ParseError,
+    parse_atom,
+    parse_derivation,
+    print_derivation,
+    print_formula,
+    print_graph,
+)
 from gamedep.prover import (
     MAX_SATURATION_VERTICES,
     Augmentation,
@@ -24,6 +33,7 @@ from gamedep.prover import (
     _Contiguity,
     _TreeBuilder,
     _cut_table,
+    _fixpoint_derives,
     _sweeps,
     check_derivation,
     derive_tree,
@@ -35,7 +45,7 @@ from gamedep.prover import (
 from gamedep.search import builtin_graph
 
 from generators import graphs, player_sets
-from oracles import derivable_atoms, saturate_by_sweeps
+from oracles import derivable_atoms, saturate_by_sweeps, semantic_closure
 
 
 def atom(lhs: str, rhs: str) -> Atom:
@@ -885,3 +895,178 @@ class TestCheckOrder:
             prove(graph, [atom("a", "yy")], {"zz"}, {"ww"})
         with pytest.raises(InputError, match="unknown player 'zz'"):
             prove(graph, [atom("a", "d")], {"zz"}, {"a"})
+
+
+def seeded_hypotheses(rng, players, count):
+    return [Atom(frozenset(rng.sample(players, rng.randint(0, 3))),
+                 frozenset(rng.sample(players, rng.randint(1, 2))))
+            for _ in range(count)]
+
+
+def assert_fixpoint_matches(graph, hyps):
+    """`_fixpoint_derives` agrees with `saturate` on every (X, v), and on the
+    rhs cl(X) and V."""
+    hyps = Hypotheses.of(hyps)
+    table = saturate(graph, hyps)
+    n = len(graph.players)
+    full = (1 << n) - 1
+    for x in range(1 << n):
+        closed = table.closure_mask(x)
+        for v in range(n):
+            assert _fixpoint_derives(graph, hyps, x, 1 << v) == bool(closed >> v & 1), (
+                f"{graph.players} {hyps}: X={x:b} v={v}")
+        assert _fixpoint_derives(graph, hyps, x, closed)
+        assert _fixpoint_derives(graph, hyps, x, full) == (closed == full)
+
+
+def family(kind: str, n: int) -> DependencyGraph:
+    players = [f"p{i}" for i in range(n)]
+    if kind == "path":
+        edges = list(zip(players, players[1:]))
+    elif kind == "cycle":
+        edges = list(zip(players, players[1:] + players[:1]))
+    elif kind == "star":
+        edges = [(players[0], p) for p in players[1:]]
+    else:  # ladder: two rails of n/2 players and a rung between each pair
+        left, right = players[:n // 2], players[n // 2:]
+        edges = list(zip(left, left[1:])) + list(zip(right, right[1:])) + list(zip(left, right))
+    return DependencyGraph.of(players, edges)
+
+
+class TestFixpoint:
+    """The semantic closure oracle and `_fixpoint_derives` agree with
+    `saturate`'s fixpoint."""
+
+    def test_oracle_matches_saturate_on_every_graph_of_at_most_4_players(self):
+        rng = random.Random(4)
+        for n in range(1, 5):
+            players = "abcd"[:n]
+            pairs = list(itertools.combinations(players, 2))
+            sets = [frozenset(c) for r in range(n + 1)
+                    for c in itertools.combinations(players, r)]
+            atoms = [Atom(lhs, rhs) for lhs in sets for rhs in sets if not rhs <= lhs]
+            for chosen in range(1 << len(pairs)):
+                graph = DependencyGraph.of(
+                    players, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+                if n < 4:
+                    hypothesis_sets = [[]] + [[a] for a in atoms]
+                else:
+                    hypothesis_sets = [rng.sample(atoms, rng.randint(1, 3)) for _ in range(6)]
+                for hyps in hypothesis_sets:
+                    hyps = Hypotheses.of(hyps)
+                    table = saturate(graph, hyps)
+                    for x in sets:
+                        assert semantic_closure(graph, hyps, x) == table.closure(x), (
+                            f"{graph} {hyps}: X={sorted(x)}")
+
+    def test_fixpoint_matches_saturate_on_seeded_graphs(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            players = list("abcdefghij"[:rng.randint(5, 10)])
+            edges = [e for e in itertools.combinations(players, 2)
+                     if rng.random() < rng.choice((0.15, 0.3, 0.5))]
+            assert_fixpoint_matches(DependencyGraph.of(players, edges),
+                                    seeded_hypotheses(rng, players, rng.randint(0, 3)))
+
+    @pytest.mark.parametrize("kind", ["cycle", "path", "ladder", "star"])
+    def test_fixpoint_matches_saturate_on_shapes(self, kind):
+        rng = random.Random(kind)
+        for n in range(4 if kind == "ladder" else 3, 13, 2 if kind == "ladder" else 1):
+            graph = family(kind, n)
+            assert_fixpoint_matches(graph, seeded_hypotheses(rng, list(graph.players),
+                                                             rng.randint(1, 3)))
+
+
+class TestNoTableWhenNotDerivable:
+    """A "not derivable" `derive_tree` or `prove`, and every `derives`,
+    answer without the closure table."""
+
+    def refuse_the_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closure table was built")
+        monkeypatch.setattr(prover, "_sweeps", refuse)
+        monkeypatch.setattr(prover, "_cut_table", refuse)
+
+    def test_not_derivable_tree_and_every_derives(self, monkeypatch):
+        graph = builtin_graph("gamma1")
+        hyps = [atom("a", "d")]
+        table = saturate(graph, hyps)
+        self.refuse_the_table(monkeypatch)
+        assert derive_tree(graph, [], {"a"}, {"d"}) is None
+        assert derive_tree(graph, hyps, {"b"}, {"d"}) is None
+        sets = [frozenset(c) for r in range(5) for c in itertools.combinations("abcd", r)]
+        answers = {True: 0, False: 0}
+        for lhs in sets:
+            for rhs in sets:
+                answer = derives(graph, hyps, lhs, rhs)
+                assert answer == table.derives(lhs, rhs)
+                answers[answer] += 1
+        assert min(answers.values()) > 0
+
+    def test_not_derivable_prove(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "path.txt"
+        path.write_text(print_graph(builtin_graph("gamma1")))
+        self.refuse_the_table(monkeypatch)
+        assert main(["prove", str(path), "a |> d"]) == 1
+        assert capsys.readouterr().out == "not derivable\n"
+
+    @pytest.mark.parametrize("prove", [derive_tree, derives])
+    def test_size_guard_before_the_fixpoint(self, prove, monkeypatch):
+        names = [f"p{i}" for i in range(MAX_SATURATION_VERTICES + 1)]
+        graph = DependencyGraph.of(names, list(zip(names, names[1:])))
+        self.refuse_the_table(monkeypatch)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fixpoint ran")
+        monkeypatch.setattr(prover, "_fixpoint_derives", refuse)
+        with pytest.raises(ResourceLimitError, match="capped"):
+            prove(graph, [], {"p0"}, {"p3"})
+
+
+def renamed(graph, hyps, rng):
+    """The graph with its players renamed and declared in a shuffled order,
+    its hypotheses, and the renaming."""
+    order = rng.sample(graph.players, len(graph.players))
+    names = rng.sample([f"{c}{i}" for c in "qxz" for i in range(10)], len(order))
+    rename = dict(zip(order, names))
+    graph = DependencyGraph.of(names, [(rename[u], rename[v]) for u, v in graph.edges])
+    return graph, [Atom(frozenset(map(rename.get, a.lhs)), frozenset(map(rename.get, a.rhs)))
+                   for a in hyps], rename
+
+
+def prove_code(graph, hyps, lhs, rhs, tmp_path) -> int:
+    """The exit status of `prove` on the graph, its hypotheses and lhs |> rhs."""
+    document = tmp_path / "graph.txt"
+    document.write_text(print_graph(graph))
+    goal = Atom(frozenset(lhs), frozenset(rhs))
+    assume = [arg for a in hyps for arg in ("--assume", print_formula(a, graph))]
+    return main(["prove", str(document), print_formula(goal, graph), *assume])
+
+
+class TestRenaming:
+    """Renaming the players and reordering their declarations changes no
+    `derives` verdict and no `prove` exit code."""
+
+    def test_seeded_graphs_of_5_to_9_players(self, tmp_path, capsys):
+        rng = random.Random(9)
+        verdicts = []
+        for _ in range(30):
+            players = [f"p{i}" for i in range(rng.randint(5, 9))]
+            graph = DependencyGraph.of(players, [
+                e for e in itertools.combinations(players, 2) if rng.random() < 0.3])
+            hyps = seeded_hypotheses(rng, players, rng.randint(1, 3))
+            other, other_hyps, rename = renamed(graph, hyps, rng)
+            goals = [(frozenset(rng.sample(players, rng.randint(0, len(players) - 1))),
+                      frozenset(rng.sample(players, rng.randint(1, 2)))) for _ in range(200)]
+            mine = [derives(graph, hyps, lhs, rhs) for lhs, rhs in goals]
+            assert mine == [derives(other, other_hyps, map(rename.get, lhs), map(rename.get, rhs))
+                            for lhs, rhs in goals]
+            verdicts += mine
+            # `prove` on one derivable and one not derivable goal, where there are
+            picks = [goals[mine.index(answer)] for answer in (True, False) if answer in mine]
+            codes = [prove_code(graph, hyps, lhs, rhs, tmp_path) for lhs, rhs in picks]
+            assert codes == [prove_code(other, other_hyps, map(rename.get, lhs),
+                                        map(rename.get, rhs), tmp_path) for lhs, rhs in picks]
+            assert codes == [0 if derives(graph, hyps, lhs, rhs) else 1 for lhs, rhs in picks]
+            capsys.readouterr()
+        assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
