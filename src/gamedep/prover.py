@@ -29,12 +29,14 @@ once monotonicity (a special case of (ii)) is available.  A goal
 Saturation proceeds in snapshot sweeps: each sweep applies one rule to
 every row of the table as it stood before the sweep.  Chain sweeps, for
 rule (ii), repeat until nothing changes; then one Contiguity sweep, for
-rule (iii), runs, and the two alternate until neither adds a fact.
-`saturate` always runs to that fixpoint.  `derive_tree` first asks the
-fixpoint test below, which needs no table, and returns None for a goal
-that is not derivable; a derivable goal saturates only as far as its
-goal's snapshot: the seeded table, or the first sweep whose goal row holds
-the rhs.  `derives` is the fixpoint test alone.
+rule (iii), runs, and if it added a fact, chain sweeps repeat again until
+nothing changes.  That is the fixpoint: a second Contiguity sweep would
+add nothing, as the proof after the fixpoint test shows.  `saturate`
+always runs to it.  `derive_tree` first asks the fixpoint test below,
+which needs no table, and returns None for a goal that is not derivable;
+a derivable goal saturates only as far as its goal's snapshot: the seeded
+table, or the first sweep whose goal row holds the rhs.  `derives` is the
+fixpoint test alone.
 
 The fixpoint test decides whether v lies in cl(X) without the 2^n table.
 Let G² join two players at distance 1 or 2 in the graph, and H(Z) be Z
@@ -69,14 +71,38 @@ carries over from one to the next, since it stays inside cl(X):
   every hypothesis (one whose lhs meets K holds vacuously), and they
   differ on v, so it refutes X |> v.  By soundness v is not derivable.
 
+The same argument shows that saturation needs one Contiguity sweep:
+
+1. The chain sweeps from the seeded table reach H(X) in every row X.  At
+   their fixpoint row X holds X and, for each hypothesis A |> B with A
+   inside it, the row of A, which holds B, so it is closed under the
+   hypotheses.  And a sweep adds to row X only the rows of sets Y inside
+   it, which by induction lie inside H(Y), so inside H(X).
+2. A round of the derivable side uses the premise (V minus K) |> P, with
+   P = H(V minus K) & K, on the cut (U, W) = (V minus N[K], N[K]) with
+   the kept part N(K), which holds border(W).  That is a separating pair
+   of the cut table below, with key V minus K, target border(U) | N(K)
+   and mask W.  So the Contiguity sweep, which reads H, puts P into row
+   border(U) | N(K), for every K at once, so for every round of every
+   query.
+3. That row lies inside the D of the round, as the derivable side shows.
+   The chain sweeps after the Contiguity sweep end at a chain fixpoint,
+   where a row holding Y holds the row of Y.  So by induction over the
+   rounds row X holds each round's D: it holds H(X), and once it holds D
+   it holds the row of border(U) | N(K), which holds P.  Run the test
+   over every player missing from D until no round adds anything: by the
+   not derivable side its final D is all of cl(X).  So those chain sweeps
+   carry every row X to cl(X).  Every sweep applies the rules, so no row
+   exceeds cl(X), and a later sweep adds nothing.
+
 A chain sweep is a subset-OR transform: up[Z], the union of cl(Y) over all
 Y inside Z, is built in place in n passes (pass v ORs each row without
 vertex v into the row with it), and the new row X is up[cl(X)].  Rows with
 cl(Y) = Y add only Y, which cl(X) already holds, so this equals absorbing
 every cl(Y) with Y inside cl(X) one Y at a time.
 
-A Contiguity sweep reads the cut-pair table.  It runs only after the chain
-sweeps reached their fixpoint, where cl is monotone: X inside X' lies
+The Contiguity sweep reads the cut-pair table.  It runs only after the
+chain sweeps reached their fixpoint, where cl is monotone: X inside X' lies
 inside cl(X'), so a chain sweep would add cl(X) to cl(X'), and at the
 fixpoint it adds nothing.  So for each vertex v the sources
 {X : v in cl(X)} form an up-set.  For a cut (U, W) with v in W, the
@@ -95,16 +121,13 @@ is rule (iii) for every source, every cut and every c at once, exactly.
 How many pairs there are depends on the edges: 39,203 on a 12-cycle,
 8,191 on the complete graph of 12, and all 3^n only on an edgeless graph.
 
-Each Contiguity sweep ORs in only the pairs whose key row changed since
-the table the previous Contiguity sweep read; before the first one, that
-baseline is the identity table.  This is exact: rows only grow, so an
-unchanged key's contribution is already in its target, and against the
-identity a pair adds key & W = Y, which its target border(U) | Y already
-holds.  So the sweep that confirms the fixpoint scatters only the pairs
-whose key rows the sweeps since the previous Contiguity sweep changed.
+The Contiguity sweep ORs in only the pairs whose key row is not the
+identity, that is, whose key is not closed under the hypotheses (the
+sweep reads H).  This is exact: a row holding only its key adds
+key & W = Y, which the target border(U) | Y already holds.
 
 The cuts enter through one cut table, built from the graph on first use,
-just before the first Contiguity sweep, so a goal that holds before any
+just before the Contiguity sweep, so a goal that holds before any
 Contiguity sweep never builds it: one array of border(U) | border(W) for
 every left side U, and the pair table above, read from it.  The tree
 builder keeps the array, and for a fact about v searches the left sides U
@@ -118,7 +141,7 @@ reads only the snapshots up to each fact's first one, so a table stopped
 at the goal's snapshot gives the same derivation as the full one.
 
 numpy is imported inside the code that uses it (`_cut_table`,
-`_Contiguity`, `_sweeps`, `_TreeBuilder`), not at module level: every
+`_contiguity`, `_sweeps`, `_TreeBuilder`), not at module level: every
 `gamedep` process imports this module, but only saturation needs numpy,
 and importing it is most of the start-up of `ne`, `check`, `validate`,
 `prove-check` and a "not derivable" `prove`.
@@ -173,11 +196,9 @@ class Hypotheses:
 
     @classmethod
     def of(cls, items: Iterable[Atom | tuple]) -> "Hypotheses":
-        atoms: list[Atom] = []
-        for item in items:
-            atom = item if isinstance(item, Atom) else Atom.of(*item)
-            if atom not in atoms:
-                atoms.append(atom)
+        # a dict keeps the first-seen order and tests membership in O(1)
+        atoms = dict.fromkeys(item if isinstance(item, Atom) else Atom.of(*item)
+                              for item in items)
         return cls(tuple(atoms))
 
     def __iter__(self):
@@ -266,7 +287,7 @@ def _cut_table(graph: DependencyGraph) -> tuple[np.ndarray,
     each once, with the source key U | Y, the target border(U) | Y and the
     mask W.  A Y that misses part of border(W) is left out: the pair with Y
     and all of border(W) has the same target and, once cl is monotone as it
-    is at every Contiguity sweep, a key whose closure holds more.
+    is at the Contiguity sweep, a key whose closure holds more.
 
     The pairs are built one vertex at a time: a vertex joins U only if none
     of its earlier neighbours is in Z, and Z only if none is in U, so the
@@ -312,10 +333,11 @@ class ClosureTable:
     """Closure of every vertex subset under the hypotheses, sweep by sweep.
 
     `_history[s]` is cl as it stood after sweep s, index 0 being the seeded
-    table, and `_kinds[s]` names that sweep.  From `saturate` the last
+    table, and `_kinds[s]` names that sweep: chain sweeps, at most one
+    Contiguity sweep, then chain sweeps again.  From `saturate` the last
     snapshot is the fixpoint; the table `derive_tree` builds for a
     derivable goal ends at the first snapshot that holds it.  `_borders` is
-    the border array of the cut table the Contiguity sweeps read, kept for
+    the border array of the cut table the Contiguity sweep read, kept for
     the tree builder, and None when no Contiguity sweep ran.
     """
 
@@ -336,30 +358,20 @@ class ClosureTable:
         return rhs_mask & ~self.closure_mask(self.graph.mask_of(lhs)) == 0
 
 
-class _Contiguity:
-    """The Contiguity sweeps of one saturation, over its cut table.
+def _contiguity(graph: DependencyGraph, cl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cut borders, and cl after one Contiguity sweep.
 
-    A sweep ORs cl(key) & W into the row of each pair's target, but only
-    for the pairs whose key row changed since the table the previous sweep
-    read, the identity table before the first; the module docstring says
-    why that is exact.
+    The sweep ORs cl(key) & W into the row of each pair's target, but only
+    for the pairs whose key row is not the identity; the module docstring
+    says why that is exact.
     """
+    import numpy as np
 
-    def __init__(self, graph: DependencyGraph):
-        import numpy as np
-
-        self.borders, (self.keys, self.targets, self.outside) = _cut_table(graph)
-        self.read = np.arange(1 << len(graph.players), dtype=np.int64)
-
-    def sweep(self, cl: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        changed = np.flatnonzero((cl != self.read)[self.keys])
-        new = cl.copy()
-        np.bitwise_or.at(new, self.targets[changed],
-                         cl[self.keys[changed]] & self.outside[changed])
-        self.read = cl
-        return new
+    borders, (keys, targets, outside) = _cut_table(graph)
+    changed = np.flatnonzero(cl[keys] != keys)
+    new = cl.copy()
+    np.bitwise_or.at(new, targets[changed], cl[keys[changed]] & outside[changed])
+    return borders, new
 
 
 def _checked(graph: DependencyGraph, hypotheses: Hypotheses | Iterable) -> Hypotheses:
@@ -376,7 +388,11 @@ def _checked(graph: DependencyGraph, hypotheses: Hypotheses | Iterable) -> Hypot
 def _sweeps(graph: DependencyGraph, hypotheses: Hypotheses,
             goal: tuple[int, int] | None = None) -> ClosureTable:
     """Sweep to the fixpoint, or, given goal masks (lhs, rhs), only until
-    the seeded table or a recorded snapshot has the rhs in the lhs row."""
+    the seeded table or a recorded snapshot has the rhs in the lhs row.
+
+    `derive_tree` passes only goals the fixpoint test found derivable; a
+    goal that never holds sweeps to the fixpoint, where `saturate` ends.
+    """
     import numpy as np
 
     n = len(graph.players)
@@ -385,33 +401,37 @@ def _sweeps(graph: DependencyGraph, hypotheses: Hypotheses,
         cl[graph.mask_of(atom.lhs)] |= graph.mask_of(atom.rhs)
     history = [cl]
     kinds = ["seed"]
-    contiguity = None
 
-    def record(new: np.ndarray, kind: str) -> bool:
-        nonlocal cl
-        if np.array_equal(new, cl):
-            return False
-        history.append(new)
-        kinds.append(kind)
-        cl = new
-        return True
+    def unmet(cl: np.ndarray) -> bool:
+        return goal is None or bool(goal[1] & ~int(cl[goal[0]]))
 
-    # chain sweeps until nothing changes, then one Contiguity sweep; the
-    # fixpoint is a Contiguity sweep that adds nothing
-    while goal is None or goal[1] & ~int(cl[goal[0]]):
-        up = cl.copy()
-        for v in range(n):
-            halves = up.reshape(-1, 2, 1 << v)
-            halves[:, 1] |= halves[:, 0]
-        if record(up[cl], "chain"):
-            continue
-        if contiguity is None:
-            contiguity = _Contiguity(graph)
-        if not record(contiguity.sweep(cl), "contiguity"):
-            break
+    def chain_sweeps(cl: np.ndarray) -> np.ndarray:
+        while unmet(cl):
+            up = cl.copy()
+            for v in range(n):
+                halves = up.reshape(-1, 2, 1 << v)
+                halves[:, 1] |= halves[:, 0]
+            new = up[cl]
+            if np.array_equal(new, cl):
+                break
+            history.append(new)
+            kinds.append("chain")
+            cl = new
+        return cl
 
-    return ClosureTable(graph, hypotheses, tuple(history), tuple(kinds),
-                        None if contiguity is None else contiguity.borders)
+    # chain sweeps until nothing changes, one Contiguity sweep, and chain
+    # sweeps again if it added a fact; a second Contiguity sweep would add
+    # nothing, as the module docstring proves
+    cl = chain_sweeps(cl)
+    borders = None
+    if unmet(cl):
+        borders, new = _contiguity(graph, cl)
+        if not np.array_equal(new, cl):
+            history.append(new)
+            kinds.append("contiguity")
+            chain_sweeps(new)
+
+    return ClosureTable(graph, hypotheses, tuple(history), tuple(kinds), borders)
 
 
 def saturate(graph: DependencyGraph,
@@ -420,8 +440,9 @@ def saturate(graph: DependencyGraph,
 
     Unlike `derive_tree`, which stops at its goal's snapshot, and
     `derives`, which builds no table, this always runs every sweep up to
-    the fixpoint, so the table answers every goal and ends with the
-    Contiguity sweep that adds nothing.
+    the fixpoint, so the table answers every goal.  Its sweeps are chain
+    sweeps, at most one Contiguity sweep and the chain sweeps after it;
+    no further sweep would add a fact.
     """
     return _sweeps(graph, _checked(graph, hypotheses))
 

@@ -30,8 +30,8 @@ from gamedep.prover import (
     Reflexivity,
     Step,
     Transitivity,
-    _Contiguity,
     _TreeBuilder,
+    _contiguity,
     _cut_table,
     _fixpoint_derives,
     _sweeps,
@@ -73,6 +73,19 @@ class TestHypotheses:
     def test_of_accepts_bare_pairs(self):
         hyps = Hypotheses.of([(["a"], ["b"])])
         assert hyps.atoms == (atom("a", "b"),)
+
+    def test_twenty_thousand_atoms_deduplicate_without_the_quadratic(self):
+        # a list membership test per atom grew as the square of the distinct
+        # atoms (2.0 s for 4,000, so about 50 s here); the bound is loose so
+        # that a loaded runner does not fail it
+        distinct = [Atom(frozenset({f"p{i}"}), frozenset({f"q{i}", f"r{i % 7}"}))
+                    for i in range(20_000)]
+        items = [item for i, a in enumerate(distinct) for item in (a, distinct[i // 2])]
+        started = time.perf_counter()
+        hyps = Hypotheses.of(items)
+        elapsed = time.perf_counter() - started
+        assert hyps.atoms == tuple(distinct)
+        assert elapsed < 5, f"deduplicating 40,000 atoms took {elapsed:.2f}s"
 
     def test_container_protocol(self):
         hyps = Hypotheses.of([atom("a", "b")])
@@ -742,6 +755,11 @@ class TestSweepOracle:
                                    max_size=3))
         assert_same_sweeps(graph, [Atom(lhs, rhs) for lhs, rhs in pairs])
 
+    def test_matches_on_every_graph_of_at_most_4_players(self):
+        for graph, _, hypothesis_sets in every_small_graph():
+            for hyps in hypothesis_sets:
+                assert_same_sweeps(graph, hyps)
+
     def test_matches_on_seeded_graphs_of_8_to_10_players(self):
         rng = random.Random(11)
         for _ in range(200):
@@ -844,9 +862,9 @@ class TestGoalStop:
 
 
 class TestChangedKeys:
-    """A Contiguity sweep that scatters only the pairs whose key row changed
-    since the table the previous sweep read (the identity before the first)
-    adds what a sweep of every pair adds, on any tables whose rows grow."""
+    """The Contiguity sweep, which scatters only the pairs whose key row is
+    not the identity, adds what a sweep of every pair adds, on any table
+    whose rows hold their own sets."""
 
     def test_matches_a_sweep_of_every_pair_on_grown_tables(self):
         rng = np.random.default_rng(7)
@@ -865,13 +883,13 @@ class TestChangedKeys:
                 rows = rng.random(len(table)) < 0.3
                 return table | np.where(rows, (rng.random((len(table), n)) < 0.2) @ bits, 0)
 
-            _, (keys, targets, outside) = _cut_table(graph)
-            contiguity = _Contiguity(graph)
+            borders, (keys, targets, outside) = _cut_table(graph)
             cl = grown(np.arange(1 << n, dtype=np.int64))
             for _ in range(3):
                 every_pair = cl.copy()
                 np.bitwise_or.at(every_pair, targets, cl[keys] & outside)
-                new = contiguity.sweep(cl)
+                swept_borders, new = _contiguity(graph, cl)
+                assert np.array_equal(swept_borders, borders)
                 assert np.array_equal(new, every_pair)
                 cl = grown(new)
 
@@ -895,6 +913,27 @@ class TestCheckOrder:
             prove(graph, [atom("a", "yy")], {"zz"}, {"ww"})
         with pytest.raises(InputError, match="unknown player 'zz'"):
             prove(graph, [atom("a", "d")], {"zz"}, {"a"})
+
+
+def every_small_graph():
+    """`(graph, player sets, hypothesis sets)` for every graph of at most 4
+    players: no hypothesis and each single atom whose rhs is not inside its
+    lhs up to 3 players, and 6 seeded sets of 1-3 such atoms on 4."""
+    rng = random.Random(4)
+    for n in range(1, 5):
+        players = "abcd"[:n]
+        pairs = list(itertools.combinations(players, 2))
+        sets = [frozenset(c) for r in range(n + 1)
+                for c in itertools.combinations(players, r)]
+        atoms = [Atom(lhs, rhs) for lhs in sets for rhs in sets if not rhs <= lhs]
+        for chosen in range(1 << len(pairs)):
+            graph = DependencyGraph.of(
+                players, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+            if n < 4:
+                hypothesis_sets = [[]] + [[a] for a in atoms]
+            else:
+                hypothesis_sets = [rng.sample(atoms, rng.randint(1, 3)) for _ in range(6)]
+            yield graph, sets, hypothesis_sets
 
 
 def seeded_hypotheses(rng, players, count):
@@ -938,26 +977,13 @@ class TestFixpoint:
     `saturate`'s fixpoint."""
 
     def test_oracle_matches_saturate_on_every_graph_of_at_most_4_players(self):
-        rng = random.Random(4)
-        for n in range(1, 5):
-            players = "abcd"[:n]
-            pairs = list(itertools.combinations(players, 2))
-            sets = [frozenset(c) for r in range(n + 1)
-                    for c in itertools.combinations(players, r)]
-            atoms = [Atom(lhs, rhs) for lhs in sets for rhs in sets if not rhs <= lhs]
-            for chosen in range(1 << len(pairs)):
-                graph = DependencyGraph.of(
-                    players, [e for i, e in enumerate(pairs) if chosen >> i & 1])
-                if n < 4:
-                    hypothesis_sets = [[]] + [[a] for a in atoms]
-                else:
-                    hypothesis_sets = [rng.sample(atoms, rng.randint(1, 3)) for _ in range(6)]
-                for hyps in hypothesis_sets:
-                    hyps = Hypotheses.of(hyps)
-                    table = saturate(graph, hyps)
-                    for x in sets:
-                        assert semantic_closure(graph, hyps, x) == table.closure(x), (
-                            f"{graph} {hyps}: X={sorted(x)}")
+        for graph, sets, hypothesis_sets in every_small_graph():
+            for hyps in hypothesis_sets:
+                hyps = Hypotheses.of(hyps)
+                table = saturate(graph, hyps)
+                for x in sets:
+                    assert semantic_closure(graph, hyps, x) == table.closure(x), (
+                        f"{graph} {hyps}: X={sorted(x)}")
 
     def test_fixpoint_matches_saturate_on_seeded_graphs(self):
         rng = random.Random(21)
