@@ -40,7 +40,10 @@ fixpoint test alone.
 
 The fixpoint test decides whether v lies in cl(X) without the 2^n table.
 Let G² join two players at distance 1 or 2 in the graph, and H(Z) be Z
-closed under the hypotheses alone (if A lies inside Z, add B):
+closed under the hypotheses alone (if A lies inside Z, add B).  `_near`
+gives a player's closed neighbourhood in G², from neighbour sets; the test
+below walks it, and `sparse` reads it too, since a sparse set (players
+pairwise at distance 3 or more) is exactly an independent set of G².
 
   D <- H(X)
   while v is not in D:
@@ -149,7 +152,7 @@ and importing it is most of the start-up of `ne`, `check`, `validate`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Union
 
 from .core import (
@@ -447,6 +450,16 @@ def saturate(graph: DependencyGraph,
     return _sweeps(graph, _checked(graph, hypotheses))
 
 
+def _near(graph: DependencyGraph, name: str) -> int:
+    """The mask of the players at distance at most 2 from `name`, itself
+    included: its closed neighbourhood in G², built from neighbour sets in
+    O(deg²)."""
+    reach = graph.closed_neighborhood(name)
+    for other in graph.neighbors(name):
+        reach |= graph.neighbors(other)
+    return graph.mask_of(reach)
+
+
 def _fixpoint_derives(graph: DependencyGraph, hypotheses: Hypotheses,
                       lhs_mask: int, rhs_mask: int) -> bool:
     """Whether the rhs lies inside cl(lhs), by the fixpoint test of the
@@ -463,13 +476,7 @@ def _fixpoint_derives(graph: DependencyGraph, hypotheses: Hypotheses,
                     grown = True
         return closed
 
-    # near[v]: the players at distance at most 2 from v, v included
-    near = []
-    for name in graph.players:
-        reach = graph.closed_neighborhood(name)
-        for other in graph.neighbors(name):
-            reach |= graph.neighbors(other)
-        near.append(graph.mask_of(reach))
+    near = [_near(graph, name) for name in graph.players]
     full = (1 << len(graph.players)) - 1
     derived = horn(lhs_mask)
     while rhs_mask & ~derived:
@@ -495,6 +502,12 @@ def derives(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
     rhs_mask = graph.mask_of(rhs)
     lhs_mask = graph.mask_of(lhs)
     return _fixpoint_derives(graph, hypotheses, lhs_mask, rhs_mask)
+
+
+def _premises(rule: Justification) -> dict[str, int]:
+    """The rule's premise fields, by name, with the step index each holds."""
+    return {name: index for name, index in vars(rule).items()
+            if name in ("premise", "first", "second")}
 
 
 class _TreeBuilder:
@@ -596,10 +609,6 @@ class _TreeBuilder:
         missing = [v for v in range(self.n) if (y & ~x) >> v & 1]
         if len(y_set) == 1:
             return self.fact(x, missing[0])
-        if len(missing) == 1:
-            premise = self.fact(x, missing[0])
-            added = self.players_of(y & ~(1 << missing[0]))
-            return self.emit(atom, Augmentation(premise, added))
         chain = None
         gathered = x
         for i, v in enumerate(missing):
@@ -621,32 +630,21 @@ class _TreeBuilder:
         return self.union_step(lhs_mask, rhs_mask)
 
     def compact(self, root: int) -> Derivation:
-        needed = set()
+        """The steps the root needs, in their order, premises renumbered."""
+        needed: dict[int, dict[str, int]] = {}  # step index -> its premises
         stack = [root]
         while stack:
             index = stack.pop()
-            if index in needed:
-                continue
-            needed.add(index)
-            rule = self.steps[index].rule
-            if isinstance(rule, (Augmentation, Contiguity, LeftMonotonicity)):
-                stack.append(rule.premise)
-            elif isinstance(rule, Transitivity):
-                stack.extend((rule.first, rule.second))
+            if index not in needed:
+                needed[index] = _premises(self.steps[index].rule)
+                stack.extend(needed[index].values())
         order = sorted(needed)
         remap = {old: new for new, old in enumerate(order)}
         rebuilt = []
         for old in order:
-            atom, rule = self.steps[old].atom, self.steps[old].rule
-            if isinstance(rule, Augmentation):
-                rule = Augmentation(remap[rule.premise], rule.added)
-            elif isinstance(rule, Transitivity):
-                rule = Transitivity(remap[rule.first], remap[rule.second])
-            elif isinstance(rule, Contiguity):
-                rule = Contiguity(remap[rule.premise], rule.cut, rule.separated)
-            elif isinstance(rule, LeftMonotonicity):
-                rule = LeftMonotonicity(remap[rule.premise], rule.added)
-            rebuilt.append(Step(atom, rule))
+            step = self.steps[old]
+            renumbered = {name: remap[index] for name, index in needed[old].items()}
+            rebuilt.append(Step(step.atom, replace(step.rule, **renumbered)))
         return Derivation(tuple(rebuilt))
 
 
@@ -679,6 +677,7 @@ def check_derivation(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
     """Validate every step against its rule schema; never raises on bad proofs."""
     if not isinstance(hypotheses, Hypotheses):
         hypotheses = Hypotheses.of(hypotheses)
+    assumed = set(hypotheses)
     problems: list[str] = []
     steps = derivation.steps
     if not steps:
@@ -704,7 +703,7 @@ def check_derivation(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
         if not (scope_ok(i, atom.lhs) and scope_ok(i, atom.rhs)):
             continue
         if isinstance(rule, ByHypothesis):
-            if atom not in hypotheses:
+            if atom not in assumed:
                 problems.append(f"step {i + 1}: atom is not among the hypotheses")
         elif isinstance(rule, Reflexivity):
             if not atom.rhs <= atom.lhs:
@@ -773,15 +772,11 @@ def check_derivation(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
 
 
 def sparse(graph: DependencyGraph, players: Iterable[str]) -> bool:
-    """True iff the players are pairwise at graph distance 3 or more."""
+    """True iff the players are pairwise at graph distance 3 or more, that
+    is, independent in G²: no member's `_near` mask holds another member."""
     members = graph.check_players(players)
-    for u in members:
-        near = {u} | graph.neighbors(u)
-        for x in graph.neighbors(u):
-            near |= graph.neighbors(x)
-        if (near - {u}) & members:
-            return False
-    return True
+    mask = graph.mask_of(members)
+    return all(_near(graph, u) & mask == 1 << graph.index(u) for u in members)
 
 
 def sparse_set_principle(graph: DependencyGraph,

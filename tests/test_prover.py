@@ -438,6 +438,20 @@ class TestCheckDerivation:
         problems = self.problems(steps)
         assert len(problems) == 2
 
+    def test_eight_thousand_hypothesis_steps_check_without_the_quadratic(self):
+        # a scan of the hypotheses per [Hypothesis] step grew as the square
+        # of the steps (2.09 s for 4,000, so about 8 s here); the bound is
+        # loose so that a loaded runner does not fail it
+        graph = DependencyGraph.of([f"p{i}" for i in range(100)])
+        hyps = Hypotheses.of(Atom(frozenset({f"p{i}"}), frozenset({f"p{j}"}))
+                             for i in range(100) for j in range(80))
+        derivation = Derivation(tuple(Step(a, ByHypothesis()) for a in hyps))
+        started = time.perf_counter()
+        result = check_derivation(graph, hyps, derivation)
+        elapsed = time.perf_counter() - started
+        assert len(derivation) == 8_000 and result
+        assert elapsed < 2, f"checking 8,000 hypothesis steps took {elapsed:.2f}s"
+
 
 class TestSparse:
     def test_path_endpoints_are_sparse(self):
@@ -465,6 +479,44 @@ class TestSparse:
     def test_disconnected_players_count_as_far_apart(self):
         graph = DependencyGraph.of(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
         assert sparse(graph, {"a", "c"})
+
+    def test_every_subset_of_every_graph_of_at_most_5_players(self):
+        for n in range(1, 6):
+            players = "abcde"[:n]
+            pairs = list(itertools.combinations(players, 2))
+            for chosen in range(1 << len(pairs)):
+                assert_sparse_by_distances(DependencyGraph.of(
+                    players, [e for i, e in enumerate(pairs) if chosen >> i & 1]))
+
+    @given(graphs(max_players=7))
+    def test_every_subset_of_drawn_graphs(self, graph):
+        assert_sparse_by_distances(graph)
+
+
+def distances_from(graph, source) -> dict[str, int]:
+    """Breadth-first distances from `source`; unreachable players are absent."""
+    distance = {source: 0}
+    frontier = [source]
+    while frontier:
+        following = []
+        for u in frontier:
+            for w in graph.neighbors(u):
+                if w not in distance:
+                    distance[w] = distance[u] + 1
+                    following.append(w)
+        frontier = following
+    return distance
+
+
+def assert_sparse_by_distances(graph):
+    """`sparse` on every player subset agrees with "every two members are at
+    distance 3 or more, or disconnected", read off breadth-first search."""
+    distance = {u: distances_from(graph, u) for u in graph.players}
+    for r in range(len(graph.players) + 1):
+        for members in itertools.combinations(graph.players, r):
+            expected = all(distance[u].get(w, 3) >= 3
+                           for u, w in itertools.combinations(members, 2))
+            assert sparse(graph, members) == expected, (graph, members)
 
 
 class TestSparseSetPrinciple:
@@ -577,6 +629,13 @@ PINNED_DERIVATIONS = [
                  '1. a |> c [Hypothesis]\n'
                  '2. b,d,j,k |> c [Contiguity 1 cut={a,b,k,l}|{c,d,e,f,g,h,i,j} A={a}]\n',
                  id="cycle12"),
+    # the builder emits 6 steps and compaction keeps 4; step 4 is the
+    # Augmentation for an rhs one player past the lhs
+    pytest.param(("a b c", "a-b a-c"), ["a,b |> c", "b |> a,b"], "b |> b,c",
+                 '1. a,b |> c [Hypothesis]\n'
+                 '2. b |> a,b [Hypothesis]\n'
+                 '3. b |> c [Transitivity 2 1]\n'
+                 '4. b |> b,c [Augmentation 3 C={b}]\n', id="star3"),
 ]
 
 
