@@ -71,6 +71,9 @@ premise arguments are step indices, and set arguments are braced::
 Rules: Hypothesis | Reflexivity | Augmentation <p> C={..} |
 Transitivity <p> <q> | Contiguity <p> cut={U}|{W} A={A} |
 LeftMonotonicity <p> add={..}
+
+`print_derivation` and `parse_derivation` both read this grammar from one
+table, `_RULES`, so the two cannot disagree on a rule's text.
 """
 
 from __future__ import annotations
@@ -175,8 +178,9 @@ def _read_document(text: str, game: bool):
     """One pass over a graph document, or a game document when `game` is set:
     checks the players line, the edges and every directive in document order,
     each check `DependencyGraph.of` would make, so the graph is built without
-    it.  Returns the graph, the players line's number, and a game's
-    strategies and payoff lines as (line number, tokens) lists."""
+    it.  For a game, the strategies lines are then checked, in document order,
+    and every player must have one.  Returns the graph, a game's strategies
+    by player, and its payoff lines as a (line number, tokens) list."""
     lines = _logical_lines(text)
     first = next(lines, None)
     if first is None:
@@ -221,7 +225,28 @@ def _read_document(text: str, game: bool):
         else:
             raise ParseError(number, f"unknown directive {directive!r}")
     graph = DependencyGraph(tuple(players), frozenset(pairs))
-    return graph, players_line, strategies_lines, payoff_lines
+    if not game:
+        return graph, {}, []
+    strategies: dict[str, tuple[str, ...]] = {}
+    for number, tokens in strategies_lines:
+        if len(tokens) < 3:
+            raise ParseError(number, "strategies line expects a player and at least one label")
+        player = tokens[1]
+        if player not in players:
+            raise ParseError(number, f"strategies for undeclared player {player!r}")
+        if player in strategies:
+            raise ParseError(number, f"duplicate strategies line for player {player!r}")
+        labels: dict[str, None] = {}  # ordered, with O(1) membership
+        for label in tokens[2:]:
+            _checked(number, check_label, label)
+            if label in labels:
+                raise ParseError(number, f"duplicate strategy label {label!r}")
+            labels[label] = None
+        strategies[player] = tuple(labels)
+    for player in players:
+        if player not in strategies:
+            raise ParseError(players_line, f"player {player!r} has no strategies line")
+    return graph, strategies, payoff_lines
 
 
 def parse_graph(text: str) -> DependencyGraph:
@@ -258,31 +283,6 @@ def parse_game(text: str) -> Game:
     return _read_game_by_lines(text) if game is None else game
 
 
-def _read_strategies(graph: DependencyGraph, players_line: int,
-                     strategies_lines: list[tuple[int, list[str]]]) -> dict[str, tuple[str, ...]]:
-    strategies: dict[str, tuple[str, ...]] = {}
-    for number, tokens in strategies_lines:
-        if len(tokens) < 3:
-            raise ParseError(number, "strategies line expects a player and at least one label")
-        player = tokens[1]
-        if player not in graph:
-            raise ParseError(number, f"strategies for undeclared player {player!r}")
-        if player in strategies:
-            raise ParseError(number, f"duplicate strategies line for player {player!r}")
-        labels: dict[str, None] = {}  # ordered, with O(1) membership
-        for label in tokens[2:]:
-            _checked(number, check_label, label)
-            if label in labels:
-                raise ParseError(number, f"duplicate strategy label {label!r}")
-            labels[label] = None
-        strategies[player] = tuple(labels)
-
-    for player in graph.players:
-        if player not in strategies:
-            raise ParseError(players_line, f"player {player!r} has no strategies line")
-    return strategies
-
-
 def _read_printed_game(text: str) -> Game | None:
     """The game of `text` if its payoff lines are written as `print_game`
     writes them, else None; never raises.
@@ -305,9 +305,7 @@ def _read_printed_game(text: str) -> Game | None:
     if not start or any(map(body.__contains__, ("#", "\t", "\r", "  "))):
         return None
     try:
-        graph, players_line, strategies_lines, payoff_lines = \
-            _read_document(text[:start], game=True)
-        strategies = _read_strategies(graph, players_line, strategies_lines)
+        graph, strategies, payoff_lines = _read_document(text[:start], game=True)
     except ParseError:
         return None
     lines = body.split("\n")
@@ -359,8 +357,7 @@ def _read_printed_game(text: str) -> Game | None:
 
 
 def _read_game_by_lines(text: str) -> Game:
-    graph, players_line, strategies_lines, payoff_lines = _read_document(text, game=True)
-    strategies = _read_strategies(graph, players_line, strategies_lines)
+    graph, strategies, payoff_lines = _read_document(text, game=True)
     labels = {player: frozenset(options) for player, options in strategies.items()}
     values: dict[str, Fraction] = {}
     payoffs: dict[str, dict[tuple[str, ...], Fraction]] = {}
@@ -436,13 +433,13 @@ def print_game(game: Game) -> str:
 # printing, all recursive, far inside Python's recursion limit.
 MAX_FORMULA_DEPTH = 100
 
-_TOKEN_RE = re.compile(r"->|\|>|[!(){},]|[A-Za-z][A-Za-z0-9_]*|\S")
+_TOKEN_RE = re.compile(r"(?P<op>->|\|>|[!(){},])|(?P<id>[A-Za-z][A-Za-z0-9_]*)|(?P<bad>\S)")
 
 
 class _Token:
     __slots__ = ("kind", "text", "line", "column")
 
-    def __init__(self, kind: str, text: str, line: int, column: int):
+    def __init__(self, kind: str, text: str, line: int, column: int | None):
         self.kind = kind
         self.text = text
         self.line = line
@@ -454,38 +451,32 @@ def _tokenize(text: str) -> list[_Token]:
     for line_number, raw in enumerate(text.split("\n"), 1):
         content = raw.split("#", 1)[0]
         for match in _TOKEN_RE.finditer(content):
-            word = match.group(0)
-            column = match.start() + 1
-            if word in ("->", "|>", "!", "(", ")", "{", "}", ","):
-                tokens.append(_Token(word, word, line_number, column))
-            elif word == "false":
-                tokens.append(_Token("false", word, line_number, column))
-            elif re.match(r"[A-Za-z]", word):
-                tokens.append(_Token("id", word, line_number, column))
-            else:
+            kind, word, column = match.lastgroup, match.group(), match.start() + 1
+            if kind == "bad":
                 raise ParseError(line_number, f"unexpected character {word!r}", column)
+            if kind == "op" or word == "false":
+                kind = word
+            tokens.append(_Token(kind, word, line_number, column))
     return tokens
 
 
 class _FormulaParser:
     def __init__(self, tokens: list[_Token], graph: DependencyGraph):
-        self.tokens = tokens
+        # `take` never moves past the end token, so `peek` always has one
+        self.tokens = tokens + [_Token("end", "end of input", 1, None)]
         self.graph = graph
         self.position = 0
         self.depth = 0
 
-    def peek(self) -> _Token | None:
-        if self.position < len(self.tokens):
-            return self.tokens[self.position]
-        return None
+    def peek(self) -> _Token:
+        return self.tokens[self.position]
 
     def take(self) -> _Token:
-        token = self.peek()
-        if token is None:
-            last = self.tokens[-1] if self.tokens else None
-            line = last.line if last else 1
-            column = last.column + len(last.text) if last else 1
-            raise ParseError(line, "unexpected end of formula", column)
+        token = self.tokens[self.position]
+        if token.kind == "end":
+            last = self.tokens[self.position - 1]
+            raise ParseError(last.line, "unexpected end of formula",
+                             last.column + len(last.text))
         self.position += 1
         return token
 
@@ -508,25 +499,23 @@ class _FormulaParser:
 
     def formula(self) -> Formula:
         left = self.unary()
-        token = self.peek()
-        if token is not None and token.kind == "->":
+        if self.peek().kind == "->":
             self.take()
             return Implication(left, self.nested(self.formula))
         return left
 
     def unary(self) -> Formula:
-        token = self.peek()
-        if token is not None and token.kind == "!":
+        if self.peek().kind == "!":
             self.take()
             return Implication(self.nested(self.unary), FALSUM)
         return self.primary()
 
     def primary(self) -> Formula:
         token = self.peek()
-        if token is None:
-            if self.tokens:
-                self.take()  # raises "unexpected end of formula" with a position
-            raise ParseError(1, "empty formula")
+        if token.kind == "end":
+            if len(self.tokens) == 1:
+                raise ParseError(1, "empty formula")
+            self.take()  # raises "unexpected end of formula" with a position
         if token.kind == "false":
             self.take()
             return FALSUM
@@ -545,23 +534,19 @@ class _FormulaParser:
 
     def player_set(self) -> frozenset[str]:
         token = self.peek()
-        if token is not None and token.kind == "{":
+        if token.kind == "{":
             self.take()
-            names = []
-            if self.peek() is not None and self.peek().kind == "id":
-                names = self.id_list()
+            names = self.id_list() if self.peek().kind == "id" else []
             self.expect("}")
             return frozenset(names)
-        if token is None or token.kind != "id":
-            got = token.text if token else "end of input"
-            line = token.line if token else 1
-            column = token.column if token else None
-            raise ParseError(line, f"expected a player set, got {got!r}", column)
+        if token.kind != "id":
+            raise ParseError(token.line, f"expected a player set, got {token.text!r}",
+                             token.column)
         return frozenset(self.id_list())
 
     def id_list(self) -> list[str]:
         names = [self.player_name()]
-        while self.peek() is not None and self.peek().kind == ",":
+        while self.peek().kind == ",":
             self.take()
             names.append(self.player_name())
         return names
@@ -578,7 +563,7 @@ def parse_formula(text: str, graph: DependencyGraph) -> Formula:
     parser = _FormulaParser(_tokenize(text), graph)
     result = parser.formula()
     trailing = parser.peek()
-    if trailing is not None:
+    if trailing.kind != "end":
         raise ParseError(trailing.line, f"unexpected trailing input {trailing.text!r}",
                          trailing.column)
     return result
@@ -617,30 +602,39 @@ def print_formula(formula: Formula, graph: DependencyGraph) -> str:
 # --- derivations ------------------------------------------------------------
 
 
-def print_derivation(derivation: Derivation, graph: DependencyGraph) -> str:
-    def braced(players) -> str:
-        return format_player_set(graph, players, braced=True)
+# Each rule's document name and the prefix of each argument, in field order:
+# "" for a step index, "cut=" for a cut, "C=", "A=" or "add=" for a set.
+_RULES = {
+    ByHypothesis: ("Hypothesis", ()),
+    Reflexivity: ("Reflexivity", ()),
+    Augmentation: ("Augmentation", ("", "C=")),
+    Transitivity: ("Transitivity", ("", "")),
+    Contiguity: ("Contiguity", ("", "cut=", "A=")),
+    LeftMonotonicity: ("LeftMonotonicity", ("", "add=")),
+}
+_RULES_BY_NAME = {name: (rule, prefixes) for rule, (name, prefixes) in _RULES.items()}
 
+
+def print_derivation(derivation: Derivation, graph: DependencyGraph) -> str:
     lines = []
     for i, step in enumerate(derivation.steps):
-        atom = print_formula(step.atom, graph)
         rule = step.rule
-        if isinstance(rule, ByHypothesis):
-            text = "Hypothesis"
-        elif isinstance(rule, Reflexivity):
-            text = "Reflexivity"
-        elif isinstance(rule, Augmentation):
-            text = f"Augmentation {rule.premise + 1} C={braced(rule.added)}"
-        elif isinstance(rule, Transitivity):
-            text = f"Transitivity {rule.first + 1} {rule.second + 1}"
-        elif isinstance(rule, Contiguity):
-            text = (f"Contiguity {rule.premise + 1} cut={braced(rule.cut.left)}|"
-                    f"{braced(rule.cut.right)} A={braced(rule.separated)}")
-        elif isinstance(rule, LeftMonotonicity):
-            text = f"LeftMonotonicity {rule.premise + 1} add={braced(rule.added)}"
-        else:
-            raise InputError(f"unknown rule {rule!r}")
-        lines.append(f"{i + 1}. {atom} [{text}]")
+        kind = type(rule)
+        if kind not in _RULES:  # an instance of a subclass of a rule prints as the rule
+            kind = next(filter(_RULES.__contains__, kind.__mro__), None)
+            if kind is None:
+                raise InputError(f"unknown rule {rule!r}")
+        text, prefixes = _RULES[kind]
+        # a step without arguments (a hypothesis, mostly) skips the pairing
+        for prefix, value in zip(prefixes, vars(rule).values()) if prefixes else ():
+            if not prefix:
+                text += f" {value + 1}"
+            elif prefix == "cut=":
+                text += (f" cut={format_player_set(graph, value.left, braced=True)}|"
+                         f"{format_player_set(graph, value.right, braced=True)}")
+            else:
+                text += f" {prefix}{format_player_set(graph, value, braced=True)}"
+        lines.append(f"{i + 1}. {print_formula(step.atom, graph)} [{text}]")
     return "\n".join(lines) + "\n"
 
 
@@ -658,7 +652,14 @@ def _parse_braced_set(token: str, prefix: str, line: int,
     return frozenset(names)
 
 
-def _parse_premise(token: str, line: int) -> int:
+def _parse_argument(token: str, prefix: str, line: int, graph: DependencyGraph):
+    """The value of a rule argument of the kind `prefix` marks in `_RULES`."""
+    if prefix == "cut=":
+        left, _, right = token[4:].partition("|")
+        return Cut(_parse_braced_set(left, "", line, graph),
+                   _parse_braced_set(right, "", line, graph))
+    if prefix:
+        return _parse_braced_set(token, prefix, line, graph)
     index = _integer(token, line)
     if index is None or index < 1:
         raise ParseError(line, f"expected a step index, got {token!r}")
@@ -687,32 +688,15 @@ def parse_derivation(text: str, graph: DependencyGraph) -> Derivation:
         tokens = rule_text.split()
         if not tokens:
             raise ParseError(number, "missing rule name")
-        name, args = tokens[0], tokens[1:]
-        if name == "Hypothesis" and not args:
-            rule = ByHypothesis()
-        elif name == "Reflexivity" and not args:
-            rule = Reflexivity()
-        elif name == "Augmentation" and len(args) == 2:
-            rule = Augmentation(_parse_premise(args[0], number),
-                                _parse_braced_set(args[1], "C=", number, graph))
-        elif name == "Transitivity" and len(args) == 2:
-            rule = Transitivity(_parse_premise(args[0], number),
-                                _parse_premise(args[1], number))
-        elif name == "Contiguity" and len(args) == 3:
-            cut_text = args[1]
-            if not cut_text.startswith("cut=") or "|" not in cut_text:
-                raise ParseError(number, f"expected cut={{U}}|{{W}}, got {cut_text!r}")
-            left_text, _, right_text = cut_text[4:].partition("|")
-            rule = Contiguity(
-                _parse_premise(args[0], number),
-                Cut(_parse_braced_set(left_text, "", number, graph),
-                    _parse_braced_set(right_text, "", number, graph)),
-                _parse_braced_set(args[2], "A=", number, graph))
-        elif name == "LeftMonotonicity" and len(args) == 2:
-            rule = LeftMonotonicity(_parse_premise(args[0], number),
-                                    _parse_braced_set(args[1], "add=", number, graph))
-        else:
+        kind, prefixes = _RULES_BY_NAME.get(tokens[0], (None, ()))
+        args = tokens[1:]
+        if kind is None or len(args) != len(prefixes):
             raise ParseError(number, f"malformed rule {rule_text!r}")
+        # a cut's shape is checked before any argument is read
+        if kind is Contiguity and not (args[1].startswith("cut=") and "|" in args[1]):
+            raise ParseError(number, f"expected cut={{U}}|{{W}}, got {args[1]!r}")
+        rule = kind(*[_parse_argument(arg, prefix, number, graph)
+                      for arg, prefix in zip(args, prefixes)])
         steps.append(Step(atom, rule))
     if not steps:
         raise ParseError(1, "empty derivation")

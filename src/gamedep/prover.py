@@ -638,6 +638,8 @@ class _TreeBuilder:
             if index not in needed:
                 needed[index] = _premises(self.steps[index].rule)
                 stack.extend(needed[index].values())
+        if len(needed) == len(self.steps):
+            return Derivation(tuple(self.steps))  # nothing to drop or renumber
         order = sorted(needed)
         remap = {old: new for new, old in enumerate(order)}
         rebuilt = []

@@ -1,5 +1,6 @@
 """Text formats: graphs, games, formulas, and their round trips."""
 
+import json
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -505,6 +506,27 @@ class TestRationals:
 
 GRAPH = builtin_graph("gamma1")
 
+# Each formula has one fault.  formula_errors.json holds the error each gave
+# (type, line, column, message); regenerate it with
+# `python tests/test_parser.py` only from a tree whose reader is trusted.
+FORMULA_CORPUS = Path(__file__).with_name("formula_errors.json")
+MALFORMED_FORMULAS = [
+    "", "a |>", "|> a", "a b |> c", "a |> b extra", "(a |> b", "a, |> b",
+    "{a,} |> b", "a ? b", "a |> b -> ",
+    "a |> z", "a |> b ?", "(", "{a", "a |> b )", "!",
+    "a |> b  # a comment\n-> ",
+    "a |> b ->  # a comment\n  b |> c ?",
+    "a\n|>",
+    "!" * (MAX_FORMULA_DEPTH + 1) + "a |> b",
+]
+
+
+def _formula_error(text):
+    with pytest.raises(ParseError) as caught:
+        parse_formula(text, GRAPH)
+    error = caught.value
+    return [type(error).__name__, error.line, error.column, str(error)]
+
 
 class TestParseFormula:
     def test_atom_with_bare_and_braced_sets(self):
@@ -546,6 +568,12 @@ class TestParseFormula:
     def test_rejects_malformed_formulas(self, bad, fragment):
         with pytest.raises(ParseError, match=fragment):
             parse_formula(bad, GRAPH)
+
+    def test_errors_agree_with_the_recorded_corpus(self):
+        recorded = json.loads(FORMULA_CORPUS.read_text(encoding="utf-8"))
+        assert sorted(recorded) == sorted(MALFORMED_FORMULAS)
+        for text in MALFORMED_FORMULAS:
+            assert _formula_error(text) == recorded[text], text
 
     def test_out_of_scope_player_is_a_scope_error(self):
         with pytest.raises(ScopeError, match="not in the graph"):
@@ -594,3 +622,11 @@ class TestPrintFormula:
     def test_print_parse_round_trip(self, graph, data):
         formula = data.draw(formulas(graph))
         assert parse_formula(print_formula(formula, graph), graph) == formula
+
+
+if __name__ == "__main__":
+    corpus = {text: _formula_error(text) for text in MALFORMED_FORMULAS}
+    entries = ",\n".join(f"{json.dumps(text)}: {json.dumps(error)}"
+                          for text, error in sorted(corpus.items()))
+    FORMULA_CORPUS.write_text("{\n" + entries + "\n}\n", encoding="utf-8")
+    print(f"{len(corpus)} formulas recorded in {FORMULA_CORPUS}")

@@ -685,8 +685,30 @@ class TestSerialization:
             Step(atom("b c", "d"), Transitivity(3, 5)),
         )
         tree = Derivation(steps)
-        parsed = parse_derivation(print_derivation(tree, graph), graph)
-        assert parsed == tree
+        text = print_derivation(tree, graph)
+        assert text == ("1. a |> d [Hypothesis]\n"
+                        "2. a |> a [Reflexivity]\n"
+                        "3. a,b |> b,d [Augmentation 1 C={b}]\n"
+                        "4. b,c |> d [Contiguity 1 cut={a,b}|{c,d} A={a}]\n"
+                        "5. a,b,c |> d [LeftMonotonicity 4 add={a}]\n"
+                        "6. d |> d [Reflexivity]\n"
+                        "7. b,c |> d [Transitivity 4 6]\n")
+        assert parse_derivation(text, graph) == tree
+
+    def test_print_names_a_rule_that_is_not_a_rule_class(self):
+        tree = Derivation((Step(atom("a", "d"), "Magic"),))
+        with pytest.raises(InputError, match="unknown rule 'Magic'"):
+            print_derivation(tree, builtin_graph("gamma1"))
+
+    def test_a_rule_subclass_prints_as_its_base_rule(self):
+        class Widening(Augmentation):
+            pass
+
+        steps = (Step(atom("a", "d"), ByHypothesis()),
+                 Step(atom("a b", "b d"), Widening(0, frozenset("b"))))
+        assert print_derivation(Derivation(steps), builtin_graph("gamma1")) == (
+            "1. a |> d [Hypothesis]\n"
+            "2. a,b |> b,d [Augmentation 1 C={b}]\n")
 
     def test_parse_requires_sequential_numbering(self):
         graph = builtin_graph("gamma1")
