@@ -9,6 +9,7 @@ semantics, prover, and search modules build on.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -266,10 +267,16 @@ class Game:
     mean payoff 0.  Keying tables by the closed neighbourhood alone is
     what enforces locality: a table cell cannot mention a distant player.
     `_cache` holds data derived from the game, ignored by equality and
-    repr: its equilibria once `enumerate_equilibria` has listed them, and
-    the equilibrium join's integer cells when the printed-form reader built
-    it.  The cells are why it is a field: the reader hands them over with
-    the game it builds.
+    repr: its equilibria once `enumerate_equilibria` has listed them, and,
+    when the printed-form reader built the game, the equilibrium join's
+    integer cells (``"cells"``), each table's value tokens in row-major
+    order (``"tokens"``, by player) and the value of each token
+    (``"values"``).  The reader hands these over with the game it builds,
+    which is why `_cache` is a field.  Such a game is built without
+    `payoffs`: the join reads only the cells, so the label-keyed tables are
+    built from the tokens the first time `payoffs` is read, and then stored
+    on the instance.  Everything in `_cache` is plain data, so such a game
+    pickles and copies before and after that first read.
 
     ``Game(...)`` and :meth:`Game.of` validate every strategy list and
     table in `__post_init__`, as :meth:`DependencyGraph.of` validates a
@@ -302,17 +309,35 @@ class Game:
 
     @classmethod
     def _unchecked(cls, graph: DependencyGraph, strategies: dict[str, tuple[str, ...]],
-                   payoffs: dict[str, dict[tuple[str, ...], Fraction]],
+                   payoffs: dict[str, dict[tuple[str, ...], Fraction]] | None,
                    cache: dict) -> "Game":
         """A game built without `__post_init__`, for the game readers and
         the search's draws only: they have already checked, or hold by
-        construction, every invariant it would check."""
+        construction, every invariant it would check.  With `payoffs` None,
+        `cache` holds the tokens and values they are built from on first
+        read."""
         game = object.__new__(cls)
         object.__setattr__(game, "graph", graph)
         object.__setattr__(game, "strategies", strategies)
-        object.__setattr__(game, "payoffs", payoffs)
+        if payoffs is not None:
+            object.__setattr__(game, "payoffs", payoffs)
         object.__setattr__(game, "_cache", cache)
         return game
+
+    def __getattr__(self, name: str):
+        # Called only for a missing attribute: `payoffs` of a game the
+        # printed-form reader built, before its first read.
+        cache = self.__dict__.get("_cache", {})
+        if name != "payoffs" or "tokens" not in cache:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = cache["values"]
+        payoffs = {}
+        for player, tokens in cache["tokens"].items():
+            local = self.graph.local_order(player)
+            keys = itertools.product(*(self.strategies[w] for w in local))
+            payoffs[player] = dict(zip(keys, map(values.__getitem__, tokens)))
+        object.__setattr__(self, "payoffs", payoffs)
+        return payoffs
 
     def __post_init__(self) -> None:
         graph = self.graph
@@ -355,7 +380,6 @@ class Game:
 
     def profiles(self) -> Iterator[StrategyProfile]:
         """All profiles, lexicographic in declaration order of players and labels."""
-        import itertools
         return itertools.product(*(self.strategies[p] for p in self.graph.players))
 
     def check_profile(self, profile: StrategyProfile) -> StrategyProfile:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .core import DependencyGraph, Game, ResourceLimitError, StrategyProfile
@@ -79,14 +80,27 @@ def check_profile_cap(count: int, max_profiles: int = DEFAULT_PROFILE_CAP) -> No
 
 def _best_responses(values, size: int, stride: int) -> list[bool]:
     """``best[x]`` iff ``values[x]`` is maximal among the cells that differ
-    from x only on the axis of length `size` and stride `stride`."""
-    best = [False] * len(values)
+    from x only on the axis of length `size` and stride `stride`.
+
+    The work is done by whole rows, not per column: at stride 1 slice j
+    ``values[j::size]`` holds every block's j-th cell, so one `map(max)`
+    over the slices gives each block's top; otherwise a block is `size` rows
+    of `stride` cells, one `map(max)` over the rows gives its tops, and its
+    cells are compared with the tops repeated once per row."""
+    if size == 1:
+        return [True] * len(values)
+    if stride == 1:
+        slices = [values[j::size] for j in range(size)]
+        tops = list(map(max, *slices))
+        best = [False] * len(values)
+        for j, column in enumerate(slices):
+            best[j::size] = map(operator.eq, column, tops)
+        return best
+    best = []
     block = size * stride
     for start in range(0, len(values), block):
-        for first in range(start, start + stride):
-            column = values[first:first + block:stride]
-            top = max(column)
-            best[first:first + block:stride] = [value == top for value in column]
+        rows = [values[first:first + stride] for first in range(start, start + block, stride)]
+        best += map(operator.eq, values[start:start + block], list(map(max, *rows)) * size)
     return best
 
 

@@ -34,10 +34,13 @@ spaces, no comments, a newline after the last line), the lines before
 them are read by the graph reader's one pass, and each payoff line is
 matched against its expected prefix without being split; each distinct
 value token is parsed once, and the game carries each table's cells as the
-integers the equilibrium join reads.  Anything else from the first payoff
-line on (a comment, a tab, `\r`, a doubled space, reordered, missing or
-extra lines, a bad value) sends the whole document to the per-line reader,
-the only one that reports errors.  It reads the document in one pass over its
+integers the equilibrium join reads.  That game's `_cache` holds the cells
+(``"cells"``), each table's value tokens (``"tokens"``) and each token's
+`Fraction` (``"values"``); `Game` builds `payoffs` from the tokens the first
+time it is read.  Anything else from the first payoff line on (a comment, a
+tab, `\r`, a doubled space, reordered, missing or extra lines, a bad value)
+sends the whole document to the per-line reader, the only one that reports
+errors.  It reads the document in one pass over its
 lines and runs every check on every payoff line, in the order: line shape,
 declared player, assignment syntax, repeated player, locality, labels; then
 a duplicate entry and the value, parsing one `Fraction` per distinct value
@@ -296,7 +299,10 @@ def _read_printed_game(text: str) -> Game | None:
     in the join's row-major order, so the game also carries each table's
     integer cells (see `equilibrium._cells`): `_scaled_integers` maps each
     distinct token to its value times the lcm of the table's denominators,
-    and one `map` over the tokens lists the cells.
+    and one `map` over the tokens lists the cells.  The game is built
+    without `payoffs`: its `_cache` keeps the tokens and their values, from
+    which `Game` builds the tables on first read (`ne` and `check` never
+    read them).
     """
     start = text.find("\npayoff ") + 1
     body = text[start:]
@@ -314,7 +320,7 @@ def _read_printed_game(text: str) -> Game | None:
     if payoff_lines or lines.pop():
         return None
     values: dict[str, Fraction] = {}
-    payoffs: dict[str, dict[tuple[str, ...], Fraction]] = {}
+    tables: dict[str, list[str]] = {}
     cells: dict[str, list[int]] = {}
     position = 0
     for player in graph.players:
@@ -349,11 +355,11 @@ def _read_printed_game(text: str) -> Game | None:
             return None
         scaled = _scaled_integers({token: values[token] for token in distinct})
         cells[player] = list(map(scaled.__getitem__, tokens))
-        keys = product(*(strategies[w] for w in local))
-        payoffs[player] = dict(zip(keys, map(values.__getitem__, tokens)))
+        tables[player] = tokens
     if position != len(lines):
         return None
-    return Game._unchecked(graph, strategies, payoffs, {"cells": cells})
+    return Game._unchecked(graph, strategies, None,
+                           {"cells": cells, "tokens": tables, "values": values})
 
 
 def _read_game_by_lines(text: str) -> Game:

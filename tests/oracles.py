@@ -15,6 +15,10 @@ systematic order is built as a `Game` and judged with the public `holds` and
 `determined_players`.  They share the public semantics with the search, not
 its generation, budgeting or lazy evaluation.
 
+The best-response oracle reads each cell's own-axis column by index
+arithmetic, one cell at a time, where the join's `_best_responses` works by
+whole rows.
+
 The parser oracles are the two-pass graph and game parsers: a list of
 logical lines, a graph pass that sets the strategies and payoff lines
 aside, a pass over those, and every check of every payoff line on every
@@ -71,6 +75,18 @@ def equilibria_by_deviation(game) -> tuple:
         if stable:
             found.append(profile)
     return tuple(found)
+
+
+def best_responses_by_cells(values, size: int, stride: int) -> list:
+    """``best[x]`` iff ``values[x]`` is the largest of its own-axis column:
+    the `size` cells of x's block of ``size * stride`` cells at x's offset
+    modulo `stride`, found cell by cell by index arithmetic."""
+    block = size * stride
+    best = []
+    for x, value in enumerate(values):
+        first = x // block * block + x % stride
+        best.append(value == max(values[first + j * stride] for j in range(size)))
+    return best
 
 
 def depends_pairwise(game, lhs, rhs) -> bool:

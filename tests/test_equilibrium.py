@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import os
+import random
 import tempfile
 import time
 from fractions import Fraction
@@ -27,6 +28,7 @@ from gamedep.core import (
     splice_profiles,
 )
 from gamedep.equilibrium import (
+    _best_responses,
     _cells,
     enumerate_equilibria,
     equilibria,
@@ -40,7 +42,7 @@ from gamedep.semantics import holds
 from generators import cuts, formulas, games
 
 from oracles import depends_pairwise  # noqa: F401  (re-exported for sibling tests)
-from oracles import equilibria_by_deviation
+from oracles import best_responses_by_cells, equilibria_by_deviation
 
 
 COORDINATION = builtin_game("coordination")
@@ -216,6 +218,29 @@ def assert_reader_cells_match(game):
     assert enumerate_equilibria(parsed) == enumerate_equilibria(game)
 
 
+class TestBestResponsesAgainstCellOracle:
+    """Differential: `_best_responses`, which works by whole rows, against
+    the per-cell oracle on every shape of axis size 1-4, stride 1-9 and 1-3
+    outer blocks."""
+
+    SHAPES = list(itertools.product(range(1, 5), range(1, 10), range(1, 4)))
+
+    def test_seeded_small_integers(self):
+        # values in -2..2: ties, zeros and negatives in most columns
+        rng = random.Random(20261020)
+        for size, stride, blocks in self.SHAPES:
+            for _ in range(4):
+                values = [rng.randint(-2, 2) for _ in range(size * stride * blocks)]
+                assert (_best_responses(values, size, stride)
+                        == best_responses_by_cells(values, size, stride)), (size, stride, values)
+
+    def test_every_value_tied(self):
+        for size, stride, blocks in self.SHAPES:
+            values = [-1] * (size * stride * blocks)
+            assert (_best_responses(values, size, stride)
+                    == best_responses_by_cells(values, size, stride) == [True] * len(values))
+
+
 class TestCellsOfPrintedDocuments:
     """Differential: the cells the printed-form reader hands the join
     against the cells computed from `Game.payoffs`."""
@@ -232,6 +257,17 @@ class TestCellsOfPrintedDocuments:
         for name in ["coordination", "table2", "parity", "consensus", "gamma2_rps",
                      "gamma1_mean_mod(5)"]:
             assert_reader_cells_match(builtin_game(name))
+
+    def test_ne_and_check_never_build_the_payoff_tables(self):
+        # the join reads the carried cells and `holds` reads the equilibria,
+        # so a printed-form game's label-keyed tables are never built
+        for name in ["coordination", "gamma2_rps", "gamma1_mean_mod(5)"]:
+            game = parse_game(print_game(builtin_game(name)))
+            players = game.graph.players
+            enumerate_equilibria(game)
+            holds(game, Atom.of(players[:1], players[-1:]))
+            holds(game, Implication(Atom.of(players[:1], players), Atom.of((), players[-1:])))
+            assert "payoffs" not in vars(game)
 
     def test_spellings_of_one_value(self):
         # 1/2 and 2/4, -0 and 0, 00001 and 1: one value each, and the

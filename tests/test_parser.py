@@ -1,6 +1,8 @@
 """Text formats: graphs, games, formulas, and their round trips."""
 
+import copy
 import json
+import pickle
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -27,7 +29,7 @@ from gamedep.parser import (
     print_game,
     print_graph,
 )
-from gamedep.search import builtin_game, builtin_graph
+from gamedep.search import SearchBounds, builtin_game, builtin_graph, random_game
 
 from generators import formulas, games, graphs
 from oracles import parse_game_by_lines
@@ -488,6 +490,67 @@ class TestReadersSkipTheSecondCheck:
             Game.of(DependencyGraph.of(game.graph.players, game.graph.edges),
                     game.strategies, game.payoffs)
         assert calls == ["DependencyGraph.of", "Game.__post_init__"]
+
+
+def _deferred_corpus():
+    """(id, printed game document): every built-in, seeded random games,
+    and games with an absent table, an all-zero table, and fractional and
+    negative values."""
+    corpus = [(name, print_game(builtin_game(name))) for name in BUILTIN_GAMES]
+    bounds = SearchBounds(max_strategies=3, seed=11,
+                          payoff_values=(-2, Fraction(-1, 3), 0, Fraction(5, 2), 7))
+    for name in ("gamma1", "gamma3", "gamma5", "triangle", "pair"):
+        corpus += [(f"random-{name}-{index}",
+                    print_game(random_game(builtin_graph(name), bounds, index)))
+                   for index in range(3)]
+    head = ("players a b c\nedge a b\nedge b c\n"
+            "strategies a x y\nstrategies b u\nstrategies c p q\n")
+    corpus += [
+        ("absent-tables", head + "payoff a a=x b=u 1\npayoff a a=y b=u 2\n"),
+        ("all-zero-table", head + "payoff a a=x b=u 0\npayoff a a=y b=u 0\n"
+         "payoff b a=x b=u c=p 3\npayoff b a=x b=u c=q -1\n"
+         "payoff b a=y b=u c=p 1/2\npayoff b a=y b=u c=q 1/2\n"),
+        ("fractional-negative", head + "payoff a a=x b=u -3/4\npayoff a a=y b=u 2/3\n"
+         "payoff c b=u c=p -7\npayoff c b=u c=q -1/2\n"),
+    ]
+    return corpus
+
+
+class TestDeferredPayoffs:
+    """The printed-form reader leaves `payoffs` to be built on first read,
+    from the tokens and values in `_cache`; the game it builds then is the
+    per-line reader's."""
+
+    @pytest.mark.parametrize("text", [pytest.param(text, id=name)
+                                      for name, text in _deferred_corpus()])
+    def test_first_read_builds_the_per_line_readers_tables(self, text):
+        game = parse_game(text)
+        assert "payoffs" not in vars(game)
+        pickled = pickle.dumps(game)
+        copied = copy.deepcopy(game)
+        by_lines = parser._read_game_by_lines(text)
+        # equality in both directions, each side unread
+        assert parse_game(text) == by_lines and by_lines == parse_game(text)
+        assert game.payoffs == by_lines.payoffs
+        # the same tables, in the same order
+        assert ([(p, list(table.items())) for p, table in game.payoffs.items()]
+                == [(p, list(table.items())) for p, table in by_lines.payoffs.items()])
+        assert "payoffs" in vars(game)
+        for before_first_read in (pickle.loads(pickled), copied):
+            assert "payoffs" not in vars(before_first_read)
+            assert before_first_read == game and game == before_first_read
+        assert pickle.loads(pickle.dumps(game)) == game == copy.deepcopy(game)
+        assert not hasattr(game, "nope") and not hasattr(parse_game(text), "nope")
+        assert print_game(parse_game(text)) == text
+
+    def test_only_payoffs_is_built(self):
+        # a game not yet given its fields (as unpickling makes one) has
+        # no attribute, `payoffs` included, and does not recurse looking
+        empty = Game.__new__(Game)
+        for name in ("payoffs", "_cache", "graph", "__setstate__"):
+            assert not hasattr(empty, name)
+        with pytest.raises(AttributeError, match="'Game' object has no attribute 'nope'"):
+            parse_game(GAME_DOC).nope
 
 
 class TestRationals:
