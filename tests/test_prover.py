@@ -1,8 +1,11 @@
 """Tests for the derivability engine, proof objects, and the proof checker."""
 
 import itertools
+import json
 import random
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from gamedep.prover import (
     _contiguity,
     _cut_table,
     _fixpoint_derives,
+    _premises,
     _sweeps,
     check_derivation,
     derive_tree,
@@ -287,6 +291,145 @@ class TestDeriveTree:
             assert all(0 <= p < i for p in premises)
 
 
+# check_problems.json holds seeded derivations, `derive_tree` output with
+# zero to two mutations each, and the `ok` and `problems` the checker gave
+# each; regenerate it with `python tests/test_prover.py` only from a tree
+# whose checker is trusted.  A step is [lhs, rhs, rule, fields...], sets as
+# comma-joined names and a cut as [U, W]; a rule that is not a rule class
+# is a bare string, which the checker sees as is.
+CHECK_CORPUS = Path(__file__).with_name("check_problems.json")
+RULE_CLASSES = {cls.__name__: cls for cls in (
+    ByHypothesis, Reflexivity, Augmentation, Transitivity, Contiguity, LeftMonotonicity)}
+CHECK_MESSAGES = (
+    "derivation has no steps", "unknown player", "is not an earlier step",
+    "atom is not among the hypotheses", "rhs is not a subset of lhs",
+    "lhs is not the premise lhs plus C", "rhs is not the premise rhs plus C",
+    "middle sets do not match between the premises",
+    "conclusion does not chain the premises", "cut sides overlap",
+    "cut does not cover", "A is not a subset of U",
+    "A is not part of the premise lhs", "premise rhs is not inside W",
+    "lhs is not border(U), border(W), and the kept part",
+    "rhs differs from the premise rhs",
+    "lhs is not the premise lhs plus the added set", "unknown rule")
+
+
+def _encode_set(players) -> str:
+    return ",".join(sorted(players))
+
+
+def _decode_set(text: str) -> frozenset:
+    return frozenset(text.split(",")) if text else frozenset()
+
+
+def _encode_step(step: Step) -> list:
+    rule = step.rule
+    if type(rule) not in RULE_CLASSES.values():
+        return [_encode_set(step.atom.lhs), _encode_set(step.atom.rhs), rule]
+    fields = [value if isinstance(value, int)
+              else [_encode_set(value.left), _encode_set(value.right)] if isinstance(value, Cut)
+              else _encode_set(value) for value in vars(rule).values()]
+    return [_encode_set(step.atom.lhs), _encode_set(step.atom.rhs), type(rule).__name__, *fields]
+
+
+def _decode_step(encoded: list) -> Step:
+    lhs, rhs, name, *fields = encoded
+    atom = Atom(_decode_set(lhs), _decode_set(rhs))
+    if name not in RULE_CLASSES:
+        return Step(atom, name)
+    values = [value if isinstance(value, int)
+              else Cut(_decode_set(value[0]), _decode_set(value[1])) if isinstance(value, list)
+              else _decode_set(value) for value in fields]
+    return Step(atom, RULE_CLASSES[name](*values))
+
+
+def _mutate(rng: random.Random, graph: DependencyGraph, steps: list) -> None:
+    """One seeded fault in one step: a premise index, a player outside the
+    graph, a bad cut, A or the premise rhs on the wrong side, a tampered
+    atom, or a rule that is not a rule class."""
+    cut_steps = [i for i, step in enumerate(steps) if isinstance(step.rule, Contiguity)]
+    i = rng.choice(cut_steps) if cut_steps and rng.random() < 0.5 else rng.randrange(len(steps))
+    atom, rule = steps[i].atom, steps[i].rule
+    everyone = graph.player_set()
+
+    def one(pool):
+        """One player drawn from `pool`, as a set; none from an empty pool."""
+        return frozenset(rng.sample(sorted(pool), 1)) if pool else frozenset()
+
+    anywhere = [
+        lambda: Step(Atom(atom.lhs | {"z"}, atom.rhs), rule),
+        lambda: Step(Atom(atom.lhs, atom.rhs | {"z"}), rule),
+        lambda: Step(Atom(atom.lhs ^ one(everyone), atom.rhs), rule),
+        lambda: Step(Atom(atom.lhs, atom.rhs ^ one(everyone)), rule),
+        lambda: Step(atom, rng.choice(["Weakening", "Symmetry"])),
+    ]
+    mutations = []
+    premises = _premises(rule) if type(rule) in RULE_CLASSES.values() else {}
+    if premises:
+        name = rng.choice(sorted(premises))
+        index = rng.choice([-1, i, i + rng.randint(1, 3)])
+        mutations.append(lambda: Step(atom, replace(rule, **{name: index})))
+    if isinstance(rule, (Augmentation, LeftMonotonicity)):
+        mutations.append(lambda: Step(atom, replace(rule, added=rule.added | {"z"})))
+    if isinstance(rule, Contiguity) and 0 <= rule.premise < i:
+        left, right = rule.cut.left, rule.cut.right
+        source = steps[rule.premise].atom
+        moved = one(source.rhs)
+        for change in [
+                {"cut": Cut(left | {"z"}, right)},
+                {"cut": Cut(left, right | {"z"})},
+                {"separated": rule.separated | {"z"}},
+                {"cut": Cut(left | one(right), right)},       # overlapping
+                {"cut": Cut(left - one(left), right)},        # not covering
+                {"separated": rule.separated | one(right)},   # A outside U
+                {"separated": rule.separated | one(left - source.lhs)},
+                {"cut": Cut(left | moved, right - moved)}]:   # premise rhs in U
+            mutations.append(lambda change=change: Step(atom, replace(rule, **change)))
+    steps[i] = rng.choice(mutations if mutations and rng.random() < 0.6 else anywhere)()
+
+
+def checker_corpus(seed: int, count: int) -> list[dict]:
+    """`count` seeded derivations, each with the checker's `ok` and
+    `problems`; the first is the empty derivation."""
+    rng = random.Random(seed)
+    corpus = [{"graph": ["a b", ""], "hypotheses": [], "steps": []}]
+    while len(corpus) < count:
+        players = "abcdef"[:rng.randint(2, 6)]
+        edges = " ".join(f"{u}-{v}" for u, v in itertools.combinations(players, 2)
+                         if rng.random() < 0.3)
+        graph = graph_of((" ".join(players), edges))
+        hyps = Hypotheses.of(
+            Atom(frozenset(rng.sample(players, rng.randint(0, 2))),
+                 frozenset(rng.sample(players, rng.randint(1, 2))))
+            for _ in range(rng.randint(0, 3)))
+        table = saturate(graph, hyps)
+        for _ in range(5):  # a goal past one pass of the hypotheses, where found
+            lhs = frozenset(rng.sample(players, rng.randint(0, len(players) - 1)))
+            closure = table.closure(lhs)
+            horn = lhs
+            for hyp in hyps:
+                horn |= hyp.rhs if hyp.lhs <= horn else frozenset()
+            if closure - horn:
+                break
+        pool = sorted(closure - horn or closure - lhs or closure)
+        steps = list(derive_tree(graph, hyps, lhs, rng.sample(
+            pool, rng.randint(min(1, len(pool)), min(3, len(pool))))).steps)
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            _mutate(rng, graph, steps)
+        corpus.append({"graph": [" ".join(players), edges],
+                       "hypotheses": [[_encode_set(a.lhs), _encode_set(a.rhs)] for a in hyps],
+                       "steps": [_encode_step(step) for step in steps]})
+    for case in corpus:
+        result = check_case(case)
+        case.update(ok=result.ok, problems=list(result.problems))
+    return corpus
+
+
+def check_case(case: dict) -> prover.DerivationCheck:
+    hyps = Hypotheses.of((_decode_set(l), _decode_set(r)) for l, r in case["hypotheses"])
+    derivation = Derivation(tuple(_decode_step(step) for step in case["steps"]))
+    return check_derivation(graph_of(tuple(case["graph"])), hyps, derivation)
+
+
 class TestCheckDerivation:
     GRAPH = None  # assigned in setup_method to keep pins close to their uses
 
@@ -437,6 +580,16 @@ class TestCheckDerivation:
         ]
         problems = self.problems(steps)
         assert len(problems) == 2
+
+    def test_problems_agree_with_the_recorded_corpus(self):
+        recorded = json.loads(CHECK_CORPUS.read_text(encoding="utf-8"))
+        for case in recorded:
+            result = check_case(case)
+            assert (result.ok, list(result.problems)) == (case["ok"], case["problems"]), case
+        problems = "\n".join(problem for case in recorded for problem in case["problems"])
+        assert [message for message in CHECK_MESSAGES if message not in problems] == []
+        # the same seed rebuilds the same derivations, so `derive_tree` is pinned too
+        assert checker_corpus(seed=20261020, count=len(recorded)) == recorded
 
     def test_eight_thousand_hypothesis_steps_check_without_the_quadratic(self):
         # a scan of the hypotheses per [Hypothesis] step grew as the square
@@ -1177,3 +1330,10 @@ class TestRenaming:
             assert codes == [0 if derives(graph, hyps, lhs, rhs) else 1 for lhs, rhs in picks]
             capsys.readouterr()
         assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
+
+
+if __name__ == "__main__":
+    corpus = checker_corpus(seed=20261020, count=400)
+    CHECK_CORPUS.write_text(
+        "[\n" + ",\n".join(json.dumps(case) for case in corpus) + "\n]\n", encoding="utf-8")
+    print(f"{len(corpus)} derivations recorded in {CHECK_CORPUS}")
