@@ -537,11 +537,14 @@ class _TreeBuilder:
             self.memo[atom] = index
         return index
 
-    def hypothesis_step(self, atom: Atom) -> int:
-        return self.emit(atom, ByHypothesis())
-
     def fact(self, x: int, v: int) -> int:
-        """Step index deriving `players(x) |> {v}`."""
+        """Step index deriving `players(x) |> {v}`, for a v outside x.
+
+        Every call has v outside x: `union_step` asks only for players of y
+        minus x, a chain source lies inside the snapshot before the first
+        one that holds v, and a Contiguity source that held v would put v
+        in x.  So a seeded fact comes from a hypothesis.
+        """
         atom = Atom(self.players_of(x), frozenset({self.graph.players[v]}))
         cached = self.memo.get(atom)
         if cached is not None:
@@ -552,11 +555,9 @@ class _TreeBuilder:
             raise AssertionError("fact requested for an underivable atom")
         kind = self.table._kinds[sweep]
         if kind == "seed":
-            if x >> v & 1:
-                return self.emit(atom, Reflexivity())
             for lhs, rhs, hyp_atom in self.hyp_masks:
                 if lhs == x and rhs >> v & 1:
-                    h = self.hypothesis_step(hyp_atom)
+                    h = self.emit(hyp_atom, ByHypothesis())
                     if hyp_atom == atom:
                         return h
                     projection = self.emit(Atom(hyp_atom.rhs, atom.rhs), Reflexivity())
@@ -626,7 +627,7 @@ class _TreeBuilder:
     def goal(self, lhs_mask: int, rhs_mask: int) -> int:
         atom = Atom(self.players_of(lhs_mask), self.players_of(rhs_mask))
         if atom in self.table.hypotheses:
-            return self.hypothesis_step(atom)
+            return self.emit(atom, ByHypothesis())
         return self.union_step(lhs_mask, rhs_mask)
 
     def compact(self, root: int) -> Derivation:
@@ -676,98 +677,77 @@ class DerivationCheck:
 
 def check_derivation(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
                      derivation: Derivation) -> DerivationCheck:
-    """Validate every step against its rule schema; never raises on bad proofs."""
-    if not isinstance(hypotheses, Hypotheses):
-        hypotheses = Hypotheses.of(hypotheses)
-    assumed = set(hypotheses)
-    problems: list[str] = []
+    """Validate every step against its rule schema; never raises on bad proofs.
+
+    `problems` holds one `step N: <fault>` line per fault, the steps in
+    order and each step's faults in the order they are checked: the atom's
+    players, the rule, its premise indices, the rule's preconditions, then
+    the conclusion.  A failed precondition is its step's only fault: a
+    player outside the graph, a premise that is not an earlier step, a cut
+    that is not a cut of the graph, A outside U or outside the premise lhs,
+    or a premise rhs outside W.  An empty derivation has the one problem
+    `derivation has no steps`.
+    """
+    assumed = set(Hypotheses.of(hypotheses))
     steps = derivation.steps
     if not steps:
         return DerivationCheck(False, ("derivation has no steps",))
 
-    def scope_ok(index: int, players: PlayerSet) -> bool:
-        try:
-            graph.check_players(players)
-            return True
-        except InputError as exc:
-            problems.append(f"step {index + 1}: {exc}")
-            return False
-
-    def premise(index: int, reference: int) -> Atom | None:
-        if not 0 <= reference < index:
-            problems.append(
-                f"step {index + 1}: premise {reference + 1} is not an earlier step")
-            return None
-        return steps[reference].atom
-
-    for i, step in enumerate(steps):
+    def faults(i: int, step: Step) -> list[str]:
         atom, rule = step.atom, step.rule
-        if not (scope_ok(i, atom.lhs) and scope_ok(i, atom.rhs)):
-            continue
-        if isinstance(rule, ByHypothesis):
-            if atom not in assumed:
-                problems.append(f"step {i + 1}: atom is not among the hypotheses")
-        elif isinstance(rule, Reflexivity):
-            if not atom.rhs <= atom.lhs:
-                problems.append(f"step {i + 1}: rhs is not a subset of lhs")
-        elif isinstance(rule, Augmentation):
-            source = premise(i, rule.premise)
-            if source is None or not scope_ok(i, rule.added):
-                continue
-            if atom.lhs != source.lhs | rule.added:
-                problems.append(f"step {i + 1}: lhs is not the premise lhs plus C")
-            if atom.rhs != source.rhs | rule.added:
-                problems.append(f"step {i + 1}: rhs is not the premise rhs plus C")
-        elif isinstance(rule, Transitivity):
-            first = premise(i, rule.first)
-            second = premise(i, rule.second)
-            if first is None or second is None:
-                continue
-            if first.rhs != second.lhs:
-                problems.append(
-                    f"step {i + 1}: middle sets do not match between the premises")
-            if atom.lhs != first.lhs or atom.rhs != second.rhs:
-                problems.append(f"step {i + 1}: conclusion does not chain the premises")
-        elif isinstance(rule, Contiguity):
-            source = premise(i, rule.premise)
-            if source is None:
-                continue
-            if not (scope_ok(i, rule.cut.left) and scope_ok(i, rule.cut.right)
-                    and scope_ok(i, rule.separated)):
-                continue
-            try:
-                rule.cut.check(graph)
-            except InputError as exc:
-                problems.append(f"step {i + 1}: {exc}")
-                continue
-            left, right = rule.cut.left, rule.cut.right
-            if not rule.separated <= left:
-                problems.append(f"step {i + 1}: A is not a subset of U")
-                continue
-            if not rule.separated <= source.lhs:
-                problems.append(f"step {i + 1}: A is not part of the premise lhs")
-                continue
-            if not source.rhs <= right:
-                problems.append(f"step {i + 1}: premise rhs is not inside W")
-                continue
-            expected = (graph.border(left) | graph.border(right)
-                        | (source.lhs - rule.separated))
-            if atom.lhs != expected:
-                problems.append(
-                    f"step {i + 1}: lhs is not border(U), border(W), and the kept part")
-            if atom.rhs != source.rhs:
-                problems.append(f"step {i + 1}: rhs differs from the premise rhs")
-        elif isinstance(rule, LeftMonotonicity):
-            source = premise(i, rule.premise)
-            if source is None or not scope_ok(i, rule.added):
-                continue
-            if atom.lhs != source.lhs | rule.added:
-                problems.append(f"step {i + 1}: lhs is not the premise lhs plus the added set")
-            if atom.rhs != source.rhs:
-                problems.append(f"step {i + 1}: rhs differs from the premise rhs")
-        else:
-            problems.append(f"step {i + 1}: unknown rule {rule!r}")
-    return DerivationCheck(not problems, tuple(problems))
+        try:
+            graph.check_players(atom.lhs)
+            graph.check_players(atom.rhs)
+            if not isinstance(rule, Justification):
+                return [f"unknown rule {rule!r}"]
+            late = [f"premise {index + 1} is not an earlier step"
+                    for index in _premises(rule).values() if not 0 <= index < i]
+            if late:
+                return late
+            if isinstance(rule, ByHypothesis):
+                return [] if atom in assumed else ["atom is not among the hypotheses"]
+            if isinstance(rule, Reflexivity):
+                return [] if atom.rhs <= atom.lhs else ["rhs is not a subset of lhs"]
+            if isinstance(rule, Transitivity):
+                first, second = steps[rule.first].atom, steps[rule.second].atom
+                return [fault for wrong, fault in (
+                    (first.rhs != second.lhs, "middle sets do not match between the premises"),
+                    ((atom.lhs, atom.rhs) != (first.lhs, second.rhs),
+                     "conclusion does not chain the premises")) if wrong]
+            source = steps[rule.premise].atom
+            if isinstance(rule, Contiguity):
+                cut = rule.cut
+                for players in (cut.left, cut.right, rule.separated):
+                    graph.check_players(players)
+                cut.check(graph)
+                if not rule.separated <= cut.left:
+                    return ["A is not a subset of U"]
+                if not rule.separated <= source.lhs:
+                    return ["A is not part of the premise lhs"]
+                if not source.rhs <= cut.right:
+                    return ["premise rhs is not inside W"]
+                kept = source.lhs - rule.separated
+                given = (graph.border(cut.left) | graph.border(cut.right) | kept, source.rhs)
+                wrong_lhs = "lhs is not border(U), border(W), and the kept part"
+                wrong_rhs = "rhs differs from the premise rhs"
+            elif isinstance(rule, Augmentation):
+                graph.check_players(rule.added)
+                given = (source.lhs | rule.added, source.rhs | rule.added)
+                wrong_lhs = "lhs is not the premise lhs plus C"
+                wrong_rhs = "rhs is not the premise rhs plus C"
+            else:
+                graph.check_players(rule.added)
+                given = (source.lhs | rule.added, source.rhs)
+                wrong_lhs = "lhs is not the premise lhs plus the added set"
+                wrong_rhs = "rhs differs from the premise rhs"
+        except InputError as exc:
+            return [str(exc)]
+        return [fault for got, want, fault in zip((atom.lhs, atom.rhs), given,
+                                                  (wrong_lhs, wrong_rhs)) if got != want]
+
+    problems = tuple(f"step {i + 1}: {fault}" for i, step in enumerate(steps)
+                     for fault in faults(i, step))
+    return DerivationCheck(not problems, problems)
 
 
 # --- sparse sets ------------------------------------------------------------

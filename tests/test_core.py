@@ -145,6 +145,10 @@ class TestFormulas:
         with pytest.raises(InputError, match="unknown player"):
             check_formula_scope(PATH4, Atom.of("a", "z"))
 
+    def test_players_of_a_non_formula_is_an_input_error(self):
+        with pytest.raises(InputError, match="not a formula: 'a'"):
+            formula_players("a")
+
     def test_empty_sides_are_legal(self):
         atom = Atom.of((), ())
         assert formula_players(atom) == frozenset()

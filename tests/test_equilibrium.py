@@ -97,6 +97,10 @@ class TestEnumerate:
         with pytest.raises(ResourceLimitError, match="exceeding the cap"):
             enumerate_equilibria(COORDINATION, max_profiles=3)
 
+    def test_zero_player_game_has_one_empty_equilibrium(self):
+        game = Game.of(DependencyGraph.of([]), {}, {})
+        assert enumerate_equilibria(game) == ((),)
+
     def test_all_zero_game_has_every_profile(self):
         graph = builtin_graph("triangle")
         game = Game.of(graph, {p: ("0", "1") for p in graph.players}, {})

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gamedep import parser
-from gamedep.core import FALSUM, Atom, DependencyGraph, Game, Implication
+from gamedep.core import FALSUM, Atom, DependencyGraph, Game, Implication, InputError
 from gamedep.parser import (
     MAX_FORMULA_DEPTH,
     LocalityError,
@@ -674,6 +674,10 @@ class TestPrintFormula:
         assert print_formula(Atom.of("", "a"), GRAPH) == "{} |> a"
         assert format_player_set(GRAPH, set()) == "{}"
         assert format_player_set(GRAPH, {"a"}, braced=True) == "{a}"
+
+    def test_a_non_formula_is_an_input_error(self):
+        with pytest.raises(InputError, match="not a formula: None"):
+            print_formula(None, GRAPH)
 
     def test_minimal_parentheses(self):
         inner = Implication(Atom.of("a", "b"), FALSUM)

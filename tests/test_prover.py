@@ -4,7 +4,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -566,6 +566,62 @@ class TestCheckDerivation:
             good, Step(atom("a b", "b d"), LeftMonotonicity(0, frozenset("b")))])
         assert problems == ("step 2: rhs differs from the premise rhs",)
 
+    def test_transitivity_premises_must_be_earlier_steps(self):
+        problems = self.problems([
+            Step(atom("a", "d"), ByHypothesis()),
+            Step(atom("a", "d"), Transitivity(0, 5)),
+        ])
+        assert problems == ("step 2: premise 6 is not an earlier step",)
+        problems = self.problems([
+            Step(atom("a", "d"), ByHypothesis()),
+            Step(atom("a", "d"), Transitivity(1, -1)),
+        ])
+        assert problems == ("step 2: premise 2 is not an earlier step",
+                            "step 2: premise 0 is not an earlier step")
+
+    def test_contiguity_premise_must_be_an_earlier_step(self):
+        problems = self.problems([
+            Step(atom("a", "d"), ByHypothesis()),
+            Step(atom("b c", "d"), Contiguity(
+                3, Cut.of(self.graph, {"a", "b"}), frozenset("a"))),
+        ])
+        assert problems == ("step 2: premise 4 is not an earlier step",)
+
+    @pytest.mark.parametrize("left,right,separated,unknown", [
+        ("abz", "cd", "a", "z"),   # U
+        ("ab", "cdy", "a", "y"),   # W
+        ("ab", "cd", "az", "z"),   # A
+        ("ab", "cdy", "az", "y"),  # W is checked before A
+    ])
+    def test_contiguity_cut_and_a_must_name_players_of_the_graph(
+            self, left, right, separated, unknown):
+        problems = self.problems([
+            Step(atom("a", "d"), ByHypothesis()),
+            Step(atom("b c", "d"), Contiguity(
+                0, Cut(frozenset(left), frozenset(right)), frozenset(separated))),
+        ])
+        assert problems == (f"step 2: unknown player {unknown!r}",)
+
+    def test_left_monotonicity_premise_and_added_set(self):
+        good = Step(atom("a", "d"), ByHypothesis())
+        problems = self.problems([
+            good, Step(atom("a b", "d"), LeftMonotonicity(1, frozenset("b")))])
+        assert problems == ("step 2: premise 2 is not an earlier step",)
+        problems = self.problems([
+            good, Step(atom("a b", "d"), LeftMonotonicity(0, frozenset("bz")))])
+        assert problems == ("step 2: unknown player 'z'",)
+
+    def test_a_step_that_is_not_a_rule(self):
+        @dataclass(frozen=True)
+        class Weakening:
+            premise: int
+
+        problems = self.problems([Step(atom("a", "a"), "Weakening")])
+        assert problems == ("step 1: unknown rule 'Weakening'",)
+        # the rule is named before its premise, which no rule check reads
+        problems = self.problems([Step(atom("a", "a"), Weakening(5))])
+        assert problems == (f"step 1: unknown rule {Weakening(5)!r}",)
+
     def test_tampered_conclusion_is_rejected(self):
         tree = derive_tree(self.graph, self.hyps, {"b", "c"}, {"d"})
         bad = Derivation(tree.steps[:-1] + (
@@ -847,6 +903,15 @@ class TestSerialization:
                         "6. d |> d [Reflexivity]\n"
                         "7. b,c |> d [Transitivity 4 6]\n")
         assert parse_derivation(text, graph) == tree
+
+    def test_empty_added_sets_parse_and_verify(self):
+        graph = builtin_graph("gamma1")
+        text = ("1. a |> d [Hypothesis]\n2. a |> d [Augmentation 1 C={}]\n"
+                "3. a |> d [LeftMonotonicity 2 add={}]\n")
+        derivation = parse_derivation(text, graph)
+        assert [step.rule.added for step in derivation.steps[1:]] == [frozenset()] * 2
+        assert check_derivation(graph, [atom("a", "d")], derivation)
+        assert print_derivation(derivation, graph) == text
 
     def test_print_names_a_rule_that_is_not_a_rule_class(self):
         tree = Derivation((Step(atom("a", "d"), "Magic"),))

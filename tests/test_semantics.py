@@ -95,6 +95,10 @@ class TestHolds:
         assert holds(game, Implication(true_atom, true_atom))
         assert not holds(game, Implication(true_atom, false_atom))
 
+    def test_a_non_formula_is_an_input_error(self):
+        with pytest.raises(InputError, match="not a formula: 'a'"):
+            holds(builtin_game("parity"), "a")
+
     def test_negation_sugar(self):
         game = builtin_game("parity")
         assert holds(game, Implication(Atom.of("a", "c"), FALSUM))
