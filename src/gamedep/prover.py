@@ -688,7 +688,9 @@ def check_derivation(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
     or a premise rhs outside W.  An empty derivation has the one problem
     `derivation has no steps`.
     """
-    assumed = set(Hypotheses.of(hypotheses))
+    if not isinstance(hypotheses, Hypotheses):
+        hypotheses = Hypotheses.of(hypotheses)
+    assumed = set(hypotheses)
     steps = derivation.steps
     if not steps:
         return DerivationCheck(False, ("derivation has no steps",))
@@ -698,16 +700,16 @@ def check_derivation(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
         try:
             graph.check_players(atom.lhs)
             graph.check_players(atom.rhs)
-            if not isinstance(rule, Justification):
+            if isinstance(rule, ByHypothesis):
+                return [] if atom in assumed else ["atom is not among the hypotheses"]
+            if isinstance(rule, Reflexivity):
+                return [] if atom.rhs <= atom.lhs else ["rhs is not a subset of lhs"]
+            if not isinstance(rule, (Augmentation, Transitivity, Contiguity, LeftMonotonicity)):
                 return [f"unknown rule {rule!r}"]
             late = [f"premise {index + 1} is not an earlier step"
                     for index in _premises(rule).values() if not 0 <= index < i]
             if late:
                 return late
-            if isinstance(rule, ByHypothesis):
-                return [] if atom in assumed else ["atom is not among the hypotheses"]
-            if isinstance(rule, Reflexivity):
-                return [] if atom.rhs <= atom.lhs else ["rhs is not a subset of lhs"]
             if isinstance(rule, Transitivity):
                 first, second = steps[rule.first].atom, steps[rule.second].atom
                 return [fault for wrong, fault in (
