@@ -29,7 +29,14 @@ __all__ = ["build_parser", "entry", "main"]
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        try:
+            with open(path, encoding="utf-8") as file:
+                return file.read()
+        except OSError:
+            # pathlib reads "" as "." and drops a trailing slash, so a path
+            # `open` refuses goes through it too: `ne game.txt/` reads the
+            # file and `ne ""` reports a directory (tests/cli_usage.json)
+            return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -131,6 +138,11 @@ def _cmd_prove_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and the parser of each subcommand by name."""
     top = argparse.ArgumentParser(
         prog="gamedep",
         description="Functional dependence between players' strategies in the "
@@ -187,15 +199,30 @@ def build_parser() -> argparse.ArgumentParser:
     prove_check.add_argument("--assume", action="append", default=[], metavar="ATOM")
     prove_check.set_defaults(run=_cmd_prove_check)
 
-    return top
+    return top, sub.choices
 
 
 # Built once: argparse trees are costly to build and parsing leaves them unchanged.
-_PARSER = build_parser()
+_PARSER, _COMMANDS = _build()
+
+
+def _parse(argv) -> argparse.Namespace:
+    """What `_PARSER.parse_args(argv)` returns (less `command`, which no
+    handler reads), in one argparse pass when argv starts with a subcommand:
+    the top-level parser would hand the rest to that subcommand's parser,
+    and then report what the latter left over."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return _PARSER.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse(argv)
     try:
         return args.run(args)
     except (InputError, ResourceLimitError) as exc:

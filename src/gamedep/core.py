@@ -14,6 +14,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -82,14 +83,14 @@ class DependencyGraph:
 
     Edges are stored as pairs ordered by declaration index.  Use
     :meth:`DependencyGraph.of` to build one from unnormalised input.
+    The tables behind `local_order` and `local_indices`, which only the
+    payoff tables of games read, are built on the first call of either.
     """
 
     players: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
     _adjacency: dict = field(default=None, compare=False, repr=False)
     _index: dict = field(default=None, compare=False, repr=False)
-    _local: dict = field(default=None, compare=False, repr=False)
-    _local_indices: dict = field(default=None, compare=False, repr=False)
 
     @classmethod
     def of(cls, players: Iterable[str],
@@ -123,11 +124,17 @@ class DependencyGraph:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_adjacency",
                            {v: frozenset(ns) for v, ns in adjacency.items()})
-        object.__setattr__(self, "_local", {
-            v: tuple(sorted(ns | {v}, key=index.__getitem__))
-            for v, ns in adjacency.items()})
-        object.__setattr__(self, "_local_indices", {
-            v: tuple(map(index.__getitem__, local)) for v, local in self._local.items()})
+
+    @cached_property
+    def _local(self) -> dict[str, tuple[str, ...]]:
+        index = self._index
+        return {v: tuple(sorted(ns | {v}, key=index.__getitem__))
+                for v, ns in self._adjacency.items()}
+
+    @cached_property
+    def _local_indices(self) -> dict[str, tuple[int, ...]]:
+        index = self._index
+        return {v: tuple(map(index.__getitem__, local)) for v, local in self._local.items()}
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -145,9 +152,11 @@ class DependencyGraph:
             raise InputError(f"unknown player {name!r}") from None
 
     def check_players(self, names: Iterable[str]) -> PlayerSet:
+        """The names as a set; an error names the least unknown one."""
         names = frozenset(names)
-        for name in names:
-            self.index(name)
+        unknown = names.difference(self._index)
+        if unknown:
+            raise InputError(f"unknown player {min(unknown, key=str)!r}")
         return names
 
     def neighbors(self, name: str) -> PlayerSet:

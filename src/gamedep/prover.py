@@ -476,7 +476,7 @@ def _fixpoint_derives(graph: DependencyGraph, hypotheses: Hypotheses,
                     grown = True
         return closed
 
-    near = [_near(graph, name) for name in graph.players]
+    near: dict[int, int] = {}       # `_near` by player index, for the players visited
     full = (1 << len(graph.players)) - 1
     derived = horn(lhs_mask)
     while rhs_mask & ~derived:
@@ -486,7 +486,10 @@ def _fixpoint_derives(graph: DependencyGraph, hypotheses: Hypotheses,
         while frontier:
             low = frontier & -frontier
             frontier ^= low
-            grown = near[low.bit_length() - 1] & ~derived & ~component
+            i = low.bit_length() - 1
+            if i not in near:
+                near[i] = _near(graph, graph.players[i])
+            grown = near[i] & ~derived & ~component
             component |= grown
             frontier |= grown
         gained = horn(full ^ component) & component
@@ -499,8 +502,8 @@ def _fixpoint_derives(graph: DependencyGraph, hypotheses: Hypotheses,
 def derives(graph: DependencyGraph, hypotheses: Hypotheses | Iterable,
             lhs: Iterable[str], rhs: Iterable[str]) -> bool:
     hypotheses = _checked(graph, hypotheses)
-    rhs_mask = graph.mask_of(rhs)
-    lhs_mask = graph.mask_of(lhs)
+    rhs_mask = graph.mask_of(graph.check_players(rhs))
+    lhs_mask = graph.mask_of(graph.check_players(lhs))
     return _fixpoint_derives(graph, hypotheses, lhs_mask, rhs_mask)
 
 

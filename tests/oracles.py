@@ -19,6 +19,10 @@ The best-response oracle reads each cell's own-axis column by index
 arithmetic, one cell at a time, where the join's `_best_responses` works by
 whole rows.
 
+The local-order oracle reads a player's closed neighbourhood off the edge
+list and orders it by the player list, where the graph's tables come from
+its adjacency sets and index.
+
 The parser oracles are the two-pass graph and game parsers: a list of
 logical lines, a graph pass that sets the strategies and payoff lines
 aside, a pass over those, and every check of every payoff line on every
@@ -99,6 +103,12 @@ def depends_pairwise(game, lhs, rhs) -> bool:
             if not all(s[i] == t[i] for i in rhs_idx):
                 return False
     return True
+
+
+def local_order_by_edges(graph: DependencyGraph, name: str) -> tuple[str, ...]:
+    """The closed neighbourhood of `name`, in declaration order."""
+    return tuple(p for p in graph.players
+                 if p == name or (p, name) in graph.edges or (name, p) in graph.edges)
 
 
 def _subsets_of(mask: int):

@@ -1,6 +1,15 @@
 """Graphs, cuts, games, profiles, and formula scaffolding."""
 
+import copy
+import itertools
+import json
+import os
+import pickle
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -24,9 +33,18 @@ from gamedep.core import (
     splice_profiles,
     validate_game,
 )
+from gamedep.parser import (
+    parse_atom,
+    parse_derivation,
+    parse_graph,
+    print_derivation,
+    print_graph,
+)
+from gamedep.prover import check_derivation, derive_tree, derives
 from gamedep.search import builtin_game, builtin_graph
 
 from generators import cuts, games, graphs, player_sets
+from oracles import local_order_by_edges
 
 PATH4 = builtin_graph("gamma1")
 
@@ -112,6 +130,117 @@ class TestDependencyGraph:
         other = graph.complement(some)
         assert some | other == graph.player_set()
         assert not some & other
+
+
+def _small_graphs():
+    """Every graph of at most 4 players, declared in an order that is not
+    alphabetical, then seeded random graphs of 5 to 12 players."""
+    for n in range(1, 5):
+        players = ("d", "b", "a", "c")[:n]
+        pairs = list(itertools.combinations(players, 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            yield DependencyGraph.of(players, itertools.compress(pairs, chosen))
+    rng = random.Random(20261021)
+    for _ in range(40):
+        players = [f"p{i}" for i in range(rng.randint(5, 12))]
+        rng.shuffle(players)
+        pairs = itertools.combinations(players, 2)
+        yield DependencyGraph.of(players, [pair for pair in pairs if rng.random() < 0.3])
+
+
+LOCAL_TABLES = ("_local", "_local_indices")
+
+
+class TestLocalTables:
+    """`local_order` and `local_indices` read tables that the graph builds
+    on the first call of either."""
+
+    def test_match_the_oracle_fresh_pickled_or_copied(self):
+        for graph in _small_graphs():
+            for unused in (graph, pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph),
+                           copy.copy(graph)):
+                assert not set(LOCAL_TABLES) & set(vars(unused))
+                for name in reversed(unused.players):
+                    local = local_order_by_edges(graph, name)
+                    assert unused.local_order(name) == local
+                    assert unused.local_indices(name) == tuple(map(graph.index, local))
+                assert unused == graph
+            used = pickle.loads(pickle.dumps(graph))
+            assert [used.local_indices(p) for p in used.players] == [
+                graph.local_indices(p) for p in graph.players]
+
+    def test_equality_and_hash_ignore_them(self):
+        for graph in _small_graphs():
+            unused = DependencyGraph.of(graph.players, graph.edges)
+            before = hash(graph)
+            for name in graph.players:
+                graph.local_order(name)
+            assert hash(graph) == before == hash(unused) == hash((graph.players, graph.edges))
+            assert graph == unused and "_local" not in repr(graph)
+
+    def test_unknown_player(self):
+        with pytest.raises(InputError, match="unknown player 'z'"):
+            PATH4.local_order("z")
+        with pytest.raises(InputError, match="unknown player 'z'"):
+            PATH4.local_indices("z")
+
+    def test_prove_and_check_never_build_them(self):
+        # the prover reads neighbour sets and masks, never the payoff key
+        # order: parse, derive (with and without the Contiguity sweep),
+        # print, re-read, check and decide
+        for name, hypothesis, goal in [("gamma1", "a |> d", "b,c |> d"),
+                                       ("gamma1", "a |> d", "a |> d"),
+                                       ("gamma4", "a |> d", "b,c |> e"),
+                                       ("gamma5", "a |> d", "b,c |> f")]:
+            graph = parse_graph(print_graph(builtin_graph(name)))
+            hypotheses = [parse_atom(hypothesis, graph)]
+            atom = parse_atom(goal, graph)
+            derivation = derive_tree(graph, hypotheses, atom.lhs, atom.rhs)
+            if derivation is not None:
+                text = print_derivation(derivation, graph)
+                assert check_derivation(graph, hypotheses, parse_derivation(text, graph)).ok
+            derives(graph, hypotheses, atom.lhs, atom.rhs)
+            assert not set(LOCAL_TABLES) & set(vars(graph))
+
+
+# Prints, as JSON, the message of each API call's error on atoms with
+# several unknown players.
+UNKNOWN_PLAYERS = """import json
+from gamedep import (Atom, Cut, DependencyGraph, Derivation, Step, check_derivation,
+                     check_formula_scope, derive_tree, derives, saturate)
+from gamedep.prover import Reflexivity
+
+graph = DependencyGraph.of("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+messages = []
+for atom in [Atom.of("yz", ()), Atom.of("xyz", ())]:
+    messages.append(check_derivation(graph, [], Derivation((Step(atom, Reflexivity()),))).problems)
+    for call in [lambda: check_formula_scope(graph, atom),
+                 lambda: derive_tree(graph, [], atom.lhs, atom.rhs),
+                 lambda: derive_tree(graph, [atom], "a", "a"),
+                 lambda: saturate(graph, [atom]),
+                 lambda: derives(graph, [], atom.lhs, atom.rhs),
+                 lambda: derives(graph, [], "a", atom.lhs),
+                 lambda: Cut(atom.lhs | {"a", "b", "c", "d"}, frozenset()).check(graph)]:
+        try:
+            call()
+        except ValueError as exc:
+            messages.append(str(exc))
+print(json.dumps(messages))
+"""
+
+
+class TestUnknownPlayers:
+    def test_the_least_unknown_player_is_named_under_every_hash_seed(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        runs = [subprocess.run([sys.executable, "-c", UNKNOWN_PLAYERS],
+                               env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                               capture_output=True, text=True, timeout=60)
+                for seed in ("1", "3")]
+        assert [run.returncode for run in runs] == [0, 0], runs[0].stderr + runs[1].stderr
+        first, second = (json.loads(run.stdout) for run in runs)
+        assert first == second
+        assert first == [message for least in "yx" for message in (
+            [f"step 1: unknown player '{least}'"], *[f"unknown player '{least}'"] * 7)]
 
 
 class TestCut:
