@@ -61,6 +61,13 @@ Formulas::
 A formula nests at most `MAX_FORMULA_DEPTH` levels of '->', '!' and
 parentheses combined; the token past the bound is a located error.
 
+A formula is read by one of two readers.  A single atom with spaces or tabs
+between its tokens, whose names are all in the graph and none `false`, is
+read by one match of `_ATOM_RE`.  Any other text (an implication, `!`,
+parentheses, `false`, a comment, a newline, other whitespace, an unknown
+name, a fault) goes to the token parser, the only one that reports errors;
+on the atoms the match reads, both give the same `Atom`.
+
 Derivations carry one step per line::
 
     <index>. <atom> [<Rule> <args>]
@@ -565,7 +572,27 @@ class _FormulaParser:
         return token.text
 
 
+_ID = r"[A-Za-z][A-Za-z0-9_]*"
+_IDS = rf"{_ID}(?:[ \t]*,[ \t]*{_ID})*"
+_SET = rf"[ \t]*(\{{[ \t]*(?:{_IDS})?[ \t]*\}}|{_IDS})[ \t]*"
+# A single atom with spaces or tabs between its tokens, one group per set
+_ATOM_RE = re.compile(rf"{_SET}\|>{_SET}")
+_ID_RE = re.compile(_ID)
+
+
 def parse_formula(text: str, graph: DependencyGraph) -> Formula:
+    """The formula of `text`: one match for a plain atom, else the token
+    parser (see the module docstring)."""
+    match = _ATOM_RE.fullmatch(text)
+    if match:
+        lhs, rhs = map(_ID_RE.findall, match.groups())
+        names = lhs + rhs
+        if "false" not in names and all(map(graph.__contains__, names)):
+            return Atom(frozenset(lhs), frozenset(rhs))
+    return _parse_tokens(text, graph)
+
+
+def _parse_tokens(text: str, graph: DependencyGraph) -> Formula:
     parser = _FormulaParser(_tokenize(text), graph)
     result = parser.formula()
     trailing = parser.peek()

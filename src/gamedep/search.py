@@ -39,7 +39,8 @@ count shape: one placement of the shape's cells serves the whole block,
 and each cell reads the digit of its draw in each number.  It walks the
 same numbers one game at a time where no block layout applies.  The first
 block holds `_FIRST_BLOCK` candidates, and each later block as many as all
-blocks before it (`_block_size`), up to `_BLOCK_ELEMENTS` padded elements;
+blocks before it (`_block_size`), up to `_BLOCK_ELEMENTS` padded elements
+and `_BLOCK_PRODUCT` multiply-adds in the product that places its cells;
 the budget is still checked per candidate in order.  Candidates are judged per
 game instead when an output in their random window was rejected, and when
 the padded grid has more than `_GRID_PROFILES` profiles (past it the dense
@@ -352,6 +353,13 @@ _FIRST_BLOCK = 64
 # larger of a candidate's padded profile grid and the draw indices its cells
 # can read (`_BlockLayout.draws`: the strategy counts and every padded cell).
 _BLOCK_ELEMENTS = 1 << 16
+# A block's `placement @ features` product (`_BlockLayout._live`) does at
+# most this many multiply-adds.  OpenBLAS runs a larger product on several
+# threads, and there a block can take many times longer: on gamma5 at three
+# strategies (2-vCPU VM, OpenBLAS 0.3.31) a 96-candidate `_live` (1.24M
+# multiply-adds) took a median of 7,974 us, against 163 us on one thread
+# and 93 us at 77 candidates (0.998M).
+_BLOCK_PRODUCT = 10 ** 6
 # Graphs whose padded grid has more profiles than this are judged per game.
 # A block pays, per candidate, one gather per player and one grouping per
 # atom over the whole grid, while per-game judging joins sparse tables.  On
@@ -470,7 +478,8 @@ class _BlockLayout:
         self.values = np.uint64(values)
         self.ranks = np.array(_ranks(bounds.payoff_values), np.min_scalar_type(-values))
         self.limits = (_rejection_limit(m), _rejection_limit(values))
-        self.max_block = _BLOCK_ELEMENTS // max(m ** n, self.draws)
+        self.max_block = min(_BLOCK_ELEMENTS // max(m ** n, self.draws),
+                             max(1, _BLOCK_PRODUCT // self.placement.size))
         self._groupings: dict = {}
 
     @classmethod

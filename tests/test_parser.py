@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -581,6 +582,10 @@ MALFORMED_FORMULAS = [
     "a |> b ->  # a comment\n  b |> c ?",
     "a\n|>",
     "!" * (MAX_FORMULA_DEPTH + 1) + "a |> b",
+    # atom-shaped, but not atoms: `parse_formula`'s one-match path must
+    # leave each to the token parser
+    "false |> a", "a |> false", "a |> {b,}", "a |> b,z", "a,,b |> c",
+    "a |> {b}}", "\u00e9 |> a",
 ]
 
 
@@ -664,6 +669,93 @@ class TestParseFormula:
             parse_atom("false", GRAPH)
         with pytest.raises(ParseError, match="expected a dependence atom"):
             parse_atom("a |> b -> false", GRAPH)
+
+
+# A hand-built graph may name a player `false`, which the formula grammar
+# reads as the keyword.
+FALSE_GRAPH = DependencyGraph(("a", "false", "b"), frozenset({("a", "false")}))
+_ATOM_CHARACTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                       "0123456789_,{}|> \t")
+
+
+def _atom_texts(rng, names, count):
+    """`count` atom-shaped texts over `names`: bare and braced sets, `{}`,
+    repeated names, runs of spaces and tabs, and in about a third of them a
+    newline, comment, `\\r`, NBSP or stray punctuation inserted anywhere."""
+    def gap():
+        return rng.choice(["", "", " ", "\t", "  ", " \t "])
+
+    def id_list(k):
+        text = rng.choice(names)
+        for _ in range(k - 1):
+            text += gap() + "," + gap() + rng.choice(names)
+        return text
+
+    def player_set():
+        if rng.random() < 0.5:
+            k = rng.randint(0, 3)
+            return "{" + gap() + (id_list(k) if k else "") + gap() + "}"
+        return id_list(rng.randint(1, 3))
+
+    texts = []
+    for _ in range(count):
+        text = gap() + player_set() + gap() + "|>" + gap() + player_set() + gap()
+        if rng.random() < 0.35:
+            at = rng.randint(0, len(text))
+            fault = rng.choice(["\n", "#", " # note\n", "\r", "\u00a0", ",", "{", "}"])
+            text = text[:at] + fault + text[at:]
+        texts.append(text)
+    return texts
+
+
+def _read_formula(read, text, graph):
+    try:
+        return read(text, graph)
+    except ParseError as error:
+        return [type(error).__name__, error.line, error.column, str(error)]
+
+
+class TestAtomMatch:
+    """`parse_formula` reads a single atom of names in the graph, none of them
+    `false`, with spaces or tabs between tokens, by one regex match, and
+    hands every other text to `_parse_tokens`."""
+
+    @pytest.mark.parametrize("graph,names,seed", [
+        (GRAPH, ["a", "b", "c", "d", "a", "b", "c", "d", "z", "ab", "a1", "b_2", "false"], 1),
+        (FALSE_GRAPH, ["a", "b", "false", "a", "b", "false", "z"], 2),
+    ])
+    def test_agrees_with_the_token_parser(self, graph, names, seed):
+        """Each text gives the token parser's atom or its error (type, line,
+        column, message), and takes the one-match path exactly when it is an
+        atom written with letters, digits, `_`, `,`, braces, `|>`, spaces and
+        tabs alone."""
+        fixed = ["a |> b", "{a}\t|>\t{}", "a,a |> {b, b}", "a |> z", "false |> a",
+                 "a |> false", "a\n|> b", "a |> b # note", "a\r|> b", "a\u00a0|> b"]
+        token_parser = parser._parse_tokens
+        fell_back = []
+
+        def spy(text, graph):
+            fell_back.append(text)
+            return token_parser(text, graph)
+
+        matched = 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parser, "_parse_tokens", spy)
+            for text in fixed + _atom_texts(random.Random(seed), names, 3000):
+                expected = _read_formula(token_parser, text, graph)
+                fell_back.clear()
+                assert _read_formula(parse_formula, text, graph) == expected, text
+                one_match = isinstance(expected, Atom) and set(text) <= _ATOM_CHARACTERS
+                assert fell_back == ([] if one_match else [text]), text
+                matched += one_match
+        assert matched > 300
+
+    def test_the_keyword_false_wins_over_a_player_named_false(self):
+        assert parse_formula("a |> b", FALSE_GRAPH) == Atom.of("a", "b")
+        for text in ("false |> a", "a |> false", "a,false |> b"):
+            error = _read_formula(parse_formula, text, FALSE_GRAPH)
+            assert error == _read_formula(parse_formula, text, GRAPH), text
+            assert error[0] == "ParseError", text
 
 
 class TestPrintFormula:

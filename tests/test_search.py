@@ -28,8 +28,10 @@ from gamedep.equilibrium import DEFAULT_PROFILE_CAP, equilibria, is_equilibrium
 from gamedep.parser import ParseError, parse_formula, print_game, print_graph
 from gamedep.prover import Hypotheses, saturate
 from gamedep.search import (
+    _BLOCK_PRODUCT,
     _FIRST_BLOCK,
     _GOLDEN,
+    _GRAPHS,
     _PER_GAME_PREFIX,
     MASK64,
     FuzzReport,
@@ -1003,7 +1005,8 @@ class TestBlockSchedule:
         calls = _record_random_blocks(monkeypatch)
         graph = builtin_graph("gamma1")
         bounds = SearchBounds(seed=3, sample_count=1000)
-        assert _BlockLayout.of(graph, bounds).max_block == 809
+        # 10^6 // 2016 multiply-adds per candidate in the placement product
+        assert _BlockLayout.of(graph, bounds).max_block == 496
         formula = parse_formula("a |> a", graph)   # holds: the whole stream is judged
         assert find_counterexample(graph, formula, bounds) == NoneWithinBounds(1000)
         first = _FIRST_BLOCK
@@ -1035,9 +1038,11 @@ class TestBlockSchedule:
                 [_PER_GAME_PREFIX] if samples > _PER_GAME_PREFIX else [])
             assert sum(size for _, size, _ in calls) == max(0, samples - _PER_GAME_PREFIX)
 
-    @pytest.mark.parametrize("elements, cap", [(1 << 16, 89), (40 * 729, 40)])
+    @pytest.mark.parametrize("elements, cap", [(1 << 16, 77), (40 * 729, 40)])
     def test_random_blocks_stop_growing_at_the_cap(self, elements, cap, monkeypatch):
-        # gamma5 at three strategies: 729 profiles per candidate
+        # gamma5 at three strategies: 729 profiles and 12,960 placement
+        # multiply-adds per candidate, so the product cap binds first at
+        # 1 << 16 elements (which alone would allow 89 candidates)
         monkeypatch.setattr(gamedep.search, "_BLOCK_ELEMENTS", elements)
         calls = _record_random_blocks(monkeypatch)
         graph = builtin_graph("gamma5")
@@ -1057,6 +1062,17 @@ class TestBlockSchedule:
         sizes = [size for _, size, _ in calls]
         assert sizes[0] == min(_FIRST_BLOCK, cap) and max(sizes) == cap
         assert calls[0][0] == _PER_GAME_PREFIX and sum(sizes) == 400 - _PER_GAME_PREFIX
+
+    @pytest.mark.parametrize("most", [2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(_GRAPHS))
+    def test_the_placement_product_stays_under_its_cap(self, name, most):
+        layout = _BlockLayout.of(builtin_graph(name), SearchBounds(max_strategies=most))
+        if layout is None:
+            return
+        assert layout.max_block >= 1
+        assert layout.placement.size * layout.max_block <= _BLOCK_PRODUCT
+        if (name, most) == ("gamma5", 3):
+            assert layout.max_block >= _FIRST_BLOCK
 
     def test_systematic_blocks_double_across_shapes(self, monkeypatch):
         calls = _record_blocks(monkeypatch)
