@@ -446,7 +446,8 @@ def print_game(game: Game) -> str:
 # printing, all recursive, far inside Python's recursion limit.
 MAX_FORMULA_DEPTH = 100
 
-_TOKEN_RE = re.compile(r"(?P<op>->|\|>|[!(){},])|(?P<id>[A-Za-z][A-Za-z0-9_]*)|(?P<bad>\S)")
+_ID = r"[A-Za-z][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(rf"(?P<op>->|\|>|[!(){{}},])|(?P<id>{_ID})|(?P<bad>\S)")
 
 
 class _Token:
@@ -572,7 +573,6 @@ class _FormulaParser:
         return token.text
 
 
-_ID = r"[A-Za-z][A-Za-z0-9_]*"
 _IDS = rf"{_ID}(?:[ \t]*,[ \t]*{_ID})*"
 _SET = rf"[ \t]*(\{{[ \t]*(?:{_IDS})?[ \t]*\}}|{_IDS})[ \t]*"
 # A single atom with spaces or tabs between its tokens, one group per set

@@ -355,10 +355,10 @@ _FIRST_BLOCK = 64
 _BLOCK_ELEMENTS = 1 << 16
 # A block's `placement @ features` product (`_BlockLayout._live`) does at
 # most this many multiply-adds.  OpenBLAS runs a larger product on several
-# threads, and there a block can take many times longer: on gamma5 at three
-# strategies (2-vCPU VM, OpenBLAS 0.3.31) a 96-candidate `_live` (1.24M
-# multiply-adds) took a median of 7,974 us, against 163 us on one thread
-# and 93 us at 77 candidates (0.998M).
+# threads, and there a call can take many times longer: over 15 default
+# gamma5 refutes per process (2-vCPU VM, numpy 2.4), the slowest `_live`
+# call took 0.5-15 ms in six processes with blocks of up to 89 candidates
+# (1.15M multiply-adds), and 0.2-1.3 ms with blocks of up to 77 (0.998M).
 _BLOCK_PRODUCT = 10 ** 6
 # Graphs whose padded grid has more profiles than this are judged per game.
 # A block pays, per candidate, one gather per player and one grouping per
