@@ -277,15 +277,18 @@ class Game:
     what enforces locality: a table cell cannot mention a distant player.
     `_cache` holds data derived from the game, ignored by equality and
     repr: its equilibria once `enumerate_equilibria` has listed them, and,
-    when the printed-form reader built the game, the equilibrium join's
-    integer cells (``"cells"``), each table's value tokens in row-major
-    order (``"tokens"``, by player) and the value of each token
-    (``"values"``).  The reader hands these over with the game it builds,
-    which is why `_cache` is a field.  Such a game is built without
-    `payoffs`: the join reads only the cells, so the label-keyed tables are
-    built from the tokens the first time `payoffs` is read, and then stored
-    on the instance.  Everything in `_cache` is plain data, so such a game
-    pickles and copies before and after that first read.
+    when the game was built from row-major lists, each table's value tokens
+    in row-major order over ``graph.local_order(player)`` (``"tokens"``, by
+    player; a player without a row has payoff 0) and the value of each
+    token (``"values"``, indexed by token).  The tokens are strings from
+    the printed-form reader, and value indices from the search's draws and
+    the built-ins.  Their builders hand these over with the game, which is
+    why `_cache` is a field.  Such a game is built without `payoffs`: the
+    equilibrium join scales the tokens to its integer cells, so the
+    label-keyed tables are built from the tokens the first time `payoffs` is
+    read, and then stored on the instance.  Everything in `_cache` is plain
+    data, so such a game pickles and copies before and after that first
+    read.
 
     ``Game(...)`` and :meth:`Game.of` validate every strategy list and
     table in `__post_init__`, as :meth:`DependencyGraph.of` validates a
@@ -294,8 +297,8 @@ class Game:
     checked and distinct labels, keys that assign exactly the closed
     neighbourhood, `Fraction` values), so they build their graph and game
     without re-validating them, and each document is checked once.  The
-    search builds the games of its draws unchecked too: they are valid by
-    construction.
+    search builds the games of its draws and the built-ins unchecked too:
+    they are valid by construction.
     """
 
     graph: DependencyGraph
@@ -320,11 +323,11 @@ class Game:
     def _unchecked(cls, graph: DependencyGraph, strategies: dict[str, tuple[str, ...]],
                    payoffs: dict[str, dict[tuple[str, ...], Fraction]] | None,
                    cache: dict) -> "Game":
-        """A game built without `__post_init__`, for the game readers and
-        the search's draws only: they have already checked, or hold by
-        construction, every invariant it would check.  With `payoffs` None,
-        `cache` holds the tokens and values they are built from on first
-        read."""
+        """A game built without `__post_init__`, for the game readers, the
+        search's draws and the built-ins only: they have already checked, or
+        hold by construction, every invariant it would check.  With
+        `payoffs` None, `cache` holds the row-major tokens and the values
+        they index, from which `payoffs` is built on first read."""
         game = object.__new__(cls)
         object.__setattr__(game, "graph", graph)
         object.__setattr__(game, "strategies", strategies)
@@ -334,8 +337,8 @@ class Game:
         return game
 
     def __getattr__(self, name: str):
-        # Called only for a missing attribute: `payoffs` of a game the
-        # printed-form reader built, before its first read.
+        # Called only for a missing attribute: `payoffs` of a game built
+        # from row-major tokens, before its first read.
         cache = self.__dict__.get("_cache", {})
         if name != "payoffs" or "tokens" not in cache:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")

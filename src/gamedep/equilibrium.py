@@ -11,20 +11,21 @@ order over ``graph.local_order(player)`` (the last local player varies
 fastest), as integers.  A `Game` supplies its table cells scaled per
 player by the lcm of that table's denominators, missing cells counting as
 0; the scale is positive and one player's cells are only compared with each
-other, so the order is the order of the values.  A game read from a
-document written as `print_game` writes it carries these cells from the
-reader, which sees each table's value tokens in this order and scales each
-distinct token once; `_cells` computes them for any other game.  The
-search supplies the rank of each drawn value in ``sorted(payoff_values)``,
-which orders cells exactly as the values do, so negative values and
-unsorted value lists need no special case.  From each list
-`_best_responses` builds a flat table: ``best[x]`` is true iff cell x is
-maximal along the player's own axis (ties are all best).  The join assigns
-strategy indices by backtracking over the players in declaration order,
-builds each constraint's cell index as its members are assigned, and checks
-the constraint once the last member is, so equilibria come out in
-lexicographic order.  Games with more than
-`DEFAULT_PROFILE_CAP` profiles are refused before any table is built.
+other, so the order is the order of the values.  `_cells` computes them.
+A game built from row-major lists (the printed-form reader, the search's
+draws, the built-ins) keeps each table's value tokens in this order, so
+`_cells` scales each distinct token once and maps the row; any other game
+has its cells computed from `payoffs`.  The search, judging a draw
+without building its game, supplies the rank of each drawn value in
+``sorted(payoff_values)``, which orders cells exactly as the values do, so
+negative values and unsorted value lists need no special case.  From each
+list `_best_responses` builds a flat table: ``best[x]`` is true iff cell x
+is maximal along the player's own axis (ties are all best).  The join
+assigns strategy indices by backtracking over the players in declaration
+order, builds each constraint's cell index as its members are assigned,
+and checks the constraint once the last member is, so equilibria come out
+in lexicographic order.  Games with more than `DEFAULT_PROFILE_CAP`
+profiles are refused before any table is built.
 """
 
 from __future__ import annotations
@@ -189,13 +190,18 @@ def _scaled_integers(values: dict) -> dict:
 def _cells(game: Game, player: str):
     """The player's cells as integers, its table scaled by `_scaled_integers`.
 
-    The printed-form reader has already computed them, once per distinct
-    value token, and carries them as ``game._cache["cells"]``; any other
-    game (`Game.of`, the per-line reader, the built-ins) has them computed
-    here from `payoffs`."""
-    carried = game._cache.get("cells")
-    if carried is not None:
-        return carried.get(player)
+    A game built from row-major lists keeps each table's value tokens in
+    ``game._cache["tokens"]``: each distinct token of the player's row is
+    scaled once, and one `map` lists the cells.  Any other game (`Game.of`,
+    the per-line reader) has them computed from `payoffs`."""
+    cache = game._cache
+    if "tokens" in cache:
+        tokens = cache["tokens"].get(player)
+        if tokens is None:
+            return None
+        values = cache["values"]
+        scaled = _scaled_integers({token: values[token] for token in set(tokens)})
+        return list(map(scaled.__getitem__, tokens))
     table = game.payoffs.get(player)
     if not table:
         return None

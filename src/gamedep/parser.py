@@ -7,7 +7,9 @@ error carries the 1-based line number (formula errors also carry a
 column).  Printing is canonical, and parsing a printed value gives back
 an equal value; for games, as `Game.of` normalises them.  `Game.of` drops
 an empty table, which prints no line, so a `Game` built directly with one
-parses back without it, and unequal.  A number of more than
+parses back without it, and unequal.  The players line must declare a
+player, so a graph or game without players is not printed: `print_graph`
+and `print_game` raise `InputError`.  A number of more than
 `sys.get_int_max_str_digits()` digits is a located error.
 
 Graphs::
@@ -33,15 +35,15 @@ absent, players in declaration order, cells in row-major order, single
 spaces, no comments, a newline after the last line), the lines before
 them are read by the graph reader's one pass, and each payoff line is
 matched against its expected prefix without being split; each distinct
-value token is parsed once, and the game carries each table's cells as the
-integers the equilibrium join reads.  That game's `_cache` holds the cells
-(``"cells"``), each table's value tokens (``"tokens"``) and each token's
-`Fraction` (``"values"``); `Game` builds `payoffs` from the tokens the first
-time it is read.  Anything else from the first payoff line on (a comment, a
-tab, `\r`, a doubled space, reordered, missing or extra lines, a bad value)
-sends the whole document to the per-line reader, the only one that reports
-errors.  It reads the document in one pass over its
-lines and runs every check on every payoff line, in the order: line shape,
+value token is parsed once.  That game's `_cache` holds each table's value
+tokens in row-major order (``"tokens"``) and each token's `Fraction`
+(``"values"``): `Game` builds `payoffs` from them the first time it is
+read, and the equilibrium join scales them to its integer cells
+(`equilibrium._cells`).  Anything else from the first payoff line on (a
+comment, a tab, `\r`, a doubled space, reordered, missing or extra lines,
+a bad value) sends the whole document to the per-line reader, the only one
+that reports errors.  It reads the document in one pass over its lines
+and runs every check on every payoff line, in the order: line shape,
 declared player, assignment syntax, repeated player, locality, labels; then
 a duplicate entry and the value, parsing one `Fraction` per distinct value
 token.  Both readers, and the graph reader they share, check every
@@ -107,7 +109,6 @@ from .core import (
     check_label,
     check_player_name,
 )
-from .equilibrium import _scaled_integers
 from .prover import (
     Augmentation,
     ByHypothesis,
@@ -302,14 +303,11 @@ def _read_printed_game(text: str) -> Game | None:
     of its table, in row-major order, each exactly `payoff p w1=l1 ... wk=lk
     v` with single spaces and a rational `v`, and a newline ends the last.
     Each line is matched against its expected prefix without being split,
-    and each distinct value token is parsed once.  The value tokens are then
-    in the join's row-major order, so the game also carries each table's
-    integer cells (see `equilibrium._cells`): `_scaled_integers` maps each
-    distinct token to its value times the lcm of the table's denominators,
-    and one `map` over the tokens lists the cells.  The game is built
-    without `payoffs`: its `_cache` keeps the tokens and their values, from
-    which `Game` builds the tables on first read (`ne` and `check` never
-    read them).
+    and each distinct value token is parsed once.  The game is built
+    without `payoffs`: its `_cache` keeps each table's value tokens, in the
+    join's row-major order, and their values, from which `Game` builds the
+    tables on first read (`ne` and `check` never read them) and the join
+    its integer cells (`equilibrium._cells`).
     """
     start = text.find("\npayoff ") + 1
     body = text[start:]
@@ -328,7 +326,6 @@ def _read_printed_game(text: str) -> Game | None:
         return None
     values: dict[str, Fraction] = {}
     tables: dict[str, list[str]] = {}
-    cells: dict[str, list[int]] = {}
     position = 0
     for player in graph.players:
         head = f"payoff {player} "
@@ -353,20 +350,15 @@ def _read_printed_game(text: str) -> Game | None:
         checked, stripped = tee(map(" ".join, product(*columns)))
         if not all(map(str.startswith, chunk, checked)):
             return None
-        tokens = list(map(str.removeprefix, chunk, stripped))
-        distinct = set(tokens)
+        tokens = tables[player] = list(map(str.removeprefix, chunk, stripped))
         try:
-            for token in distinct.difference(values):
+            for token in set(tokens).difference(values):
                 values[token] = parse_rational(token)
         except ParseError:
             return None
-        scaled = _scaled_integers({token: values[token] for token in distinct})
-        cells[player] = list(map(scaled.__getitem__, tokens))
-        tables[player] = tokens
     if position != len(lines):
         return None
-    return Game._unchecked(graph, strategies, None,
-                           {"cells": cells, "tokens": tables, "values": values})
+    return Game._unchecked(graph, strategies, None, {"tokens": tables, "values": values})
 
 
 def _read_game_by_lines(text: str) -> Game:
@@ -417,6 +409,8 @@ def _payoff_entry(number: int, tokens: list[str], graph: DependencyGraph,
 
 
 def print_graph(graph: DependencyGraph) -> str:
+    if not graph.players:
+        raise InputError("a graph without players cannot be printed")
     lines = ["players " + " ".join(graph.players)]
     for u, v in sorted(graph.edges, key=lambda e: (graph.index(e[0]), graph.index(e[1]))):
         lines.append(f"edge {u} {v}")

@@ -21,7 +21,10 @@ budget and the enumeration cap are checked before any cell is drawn, and
 equilibria are enumerated only when a formula reaches an atom: on
 strategy-index tuples, comparing payoff values by their rank in
 `sorted(payoff_values)`.  A `Game` is built (`_build`) only for a game the
-search returns: the refuting game, or a fuzzing violation.
+search returns: the refuting game, or a fuzzing violation.  It keeps its
+draw's rows of value indices as its tokens, as the built-ins keep their
+rows of reward bits, so the join scales them to its integer cells and
+`Game` builds `payoffs` from them on first read.
 
 Both modes judge most candidates in blocks (`_BlockLayout`): one column
 per candidate, each payoff cell read by the index of its draw, judged at
@@ -39,9 +42,11 @@ count shape: one placement of the shape's cells serves the whole block,
 and each cell reads the digit of its draw in each number.  It walks the
 same numbers one game at a time where no block layout applies.  The first
 block holds `_FIRST_BLOCK` candidates, and each later block as many as all
-blocks before it (`_block_size`), up to `_BLOCK_ELEMENTS` padded elements
-and `_BLOCK_PRODUCT` multiply-adds in the product that places its cells;
-the budget is still checked per candidate in order.  Candidates are judged per
+blocks before it (`_block_size`), up to `_BLOCK_ELEMENTS` padded elements;
+a random block also stops at `_BLOCK_PRODUCT` multiply-adds in the product
+that places its cells, which has one column per candidate (a systematic
+block's has one column whatever its size).  The budget is still checked
+per candidate in order.  Candidates are judged per
 game instead when an output in their random window was rejected, and when
 the padded grid has more than `_GRID_PROFILES` profiles (past it the dense
 grid costs more than the sparse per-game join, and the profile cap cannot
@@ -210,18 +215,21 @@ def _builtin(graph_name: str, strategies: dict, rewards: dict) -> Game:
     """A built-in game on `builtin_graph(graph_name)`.
 
     `rewards` maps a player to a test of its local assignment (a dict from
-    player to label): the player's table is 1 where it passes and 0 where it
-    fails.  A player without a reward has an empty table, so payoff 0.
+    player to label): the player's row holds, in row-major order, the test's
+    outcome on each assignment, a token into `_REWARDS`, so the payoff is 1
+    where it passes and 0 where it fails.  A player without a reward has no
+    row, so payoff 0.  Like a draw, a built-in is valid by construction (its
+    labels are fixed here and its rows complete), so it is built unchecked.
     """
     graph = builtin_graph(graph_name)
-    payoffs = {}
+    tokens = {}
     for player in graph.players:
         reward = rewards.get(player)
-        local = graph.local_order(player)
-        payoffs[player] = {} if reward is None else {
-            key: _REWARDS[reward(dict(zip(local, key)))]
-            for key in itertools.product(*(strategies[q] for q in local))}
-    return Game.of(graph, strategies, payoffs)
+        if reward is not None:
+            local = graph.local_order(player)
+            tokens[player] = [reward(dict(zip(local, key)))
+                              for key in itertools.product(*(strategies[q] for q in local))]
+    return Game._unchecked(graph, strategies, None, {"tokens": tokens, "values": _REWARDS})
 
 
 def _is_prime(p: int) -> bool:
@@ -311,16 +319,14 @@ def _draw(graph: DependencyGraph, bounds: SearchBounds, index: int):
 
 
 def _build(graph: DependencyGraph, bounds: SearchBounds, counts, cells) -> Game:
-    """The `Game` of a draw: labels "0", "1", ... and the drawn payoff values.
-    A draw is valid by construction (distinct, checked labels, at least one
-    per player, a complete non-empty table per player keyed in local order,
-    `Fraction` values from `SearchBounds`), so the game is built unchecked."""
+    """The `Game` of a draw: labels "0", "1", ..., and each player's row of
+    value indices as its tokens into `payoff_values`.  A draw is valid by
+    construction (distinct, checked labels, at least one per player, a
+    complete row per player in local order, `Fraction` values from
+    `SearchBounds`), so the game is built unchecked."""
     strategies = {p: tuple(str(i) for i in range(k)) for p, k in zip(graph.players, counts)}
-    values = bounds.payoff_values
-    payoffs = {p: dict(zip(itertools.product(*(strategies[q] for q in graph.local_order(p))),
-                           (values[c] for c in row)))
-               for p, row in zip(graph.players, cells)}
-    return Game._unchecked(graph, strategies, payoffs, {})
+    return Game._unchecked(graph, strategies, None, {"tokens": dict(zip(graph.players, cells)),
+                                                     "values": bounds.payoff_values})
 
 
 def random_game(graph: DependencyGraph, bounds: SearchBounds, index: int) -> Game:
@@ -353,12 +359,14 @@ _FIRST_BLOCK = 64
 # larger of a candidate's padded profile grid and the draw indices its cells
 # can read (`_BlockLayout.draws`: the strategy counts and every padded cell).
 _BLOCK_ELEMENTS = 1 << 16
-# A block's `placement @ features` product (`_BlockLayout._live`) does at
-# most this many multiply-adds.  OpenBLAS runs a larger product on several
-# threads, and there a call can take many times longer: over 15 default
-# gamma5 refutes per process (2-vCPU VM, numpy 2.4), the slowest `_live`
-# call took 0.5-15 ms in six processes with blocks of up to 89 candidates
-# (1.15M multiply-adds), and 0.2-1.3 ms with blocks of up to 77 (0.998M).
+# A random block's `placement @ features` product (`_BlockLayout._live`),
+# one column per candidate, does at most this many multiply-adds (a
+# systematic block's has one column).  OpenBLAS runs a larger product on
+# several threads, and there a call can take many times longer: over 15
+# default gamma5 refutes per process (2-vCPU VM, numpy 2.4), the slowest
+# `_live` call took 0.5-15 ms in six processes with blocks of up to 89
+# candidates (1.15M multiply-adds), and 0.2-1.3 ms with blocks of up to 77
+# (0.998M).
 _BLOCK_PRODUCT = 10 ** 6
 # Graphs whose padded grid has more profiles than this are judged per game.
 # A block pays, per candidate, one gather per player and one grouping per
@@ -478,8 +486,8 @@ class _BlockLayout:
         self.values = np.uint64(values)
         self.ranks = np.array(_ranks(bounds.payoff_values), np.min_scalar_type(-values))
         self.limits = (_rejection_limit(m), _rejection_limit(values))
-        self.max_block = min(_BLOCK_ELEMENTS // max(m ** n, self.draws),
-                             max(1, _BLOCK_PRODUCT // self.placement.size))
+        self.max_block = _BLOCK_ELEMENTS // max(m ** n, self.draws)
+        self.max_random_block = min(self.max_block, max(1, _BLOCK_PRODUCT // self.placement.size))
         self._groupings: dict = {}
 
     @classmethod
@@ -611,13 +619,14 @@ class _BlockLayout:
                 | self.formula_holds(mask, formula.consequent))
 
 
-def _block_size(layout: _BlockLayout, walked: int) -> int:
+def _block_size(walked: int, cap: int) -> int:
     """The size of the block after the first `walked` candidates judged in
     blocks: it ends where they number max(`_FIRST_BLOCK`, 2 * walked), cut
-    at the layout's `max_block`.  So blocks double from `_FIRST_BLOCK`, and
-    a search that stops at candidate k of its blocks (counting from 0) has
-    judged at most max(`_FIRST_BLOCK`, 2k) candidates in blocks."""
-    return min(max(_FIRST_BLOCK, 2 * walked) - walked, layout.max_block)
+    at `cap` (the layout's `max_random_block` or `max_block`).  So blocks
+    double from `_FIRST_BLOCK`, and a search that stops at candidate k of
+    its blocks (counting from 0) has judged at most max(`_FIRST_BLOCK`, 2k)
+    candidates in blocks."""
+    return min(max(_FIRST_BLOCK, 2 * walked) - walked, cap)
 
 
 def _random_candidates(graph: DependencyGraph, bounds: SearchBounds, judge, prefix: int):
@@ -642,7 +651,8 @@ def _random_candidates(graph: DependencyGraph, bounds: SearchBounds, judge, pref
         return
     start = prefix
     while start < bounds.sample_count:
-        size = min(_block_size(layout, start - prefix), bounds.sample_count - start)
+        size = min(_block_size(start - prefix, layout.max_random_block),
+                   bounds.sample_count - start)
         counts, rejected, mask = layout.random_block(bounds.seed, start, size)
         for index, count, redraw, verdict in zip(itertools.count(start), counts, rejected,
                                                  judge(layout, mask)):
@@ -705,7 +715,7 @@ def _systematic_candidates(graph: DependencyGraph, bounds: SearchBounds, judge):
         total, cost = base ** sum(sizes), math.prod(counts)
         start = 0
         while start < total:
-            step = total if layout is None else _block_size(layout, walked)
+            step = total if layout is None else _block_size(walked, layout.max_block)
             size = min(step, total - start, budget // cost)
             if size == 0:
                 yield counts, functools.partial(_assignment_cells, start, base, sizes), None

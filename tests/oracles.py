@@ -15,6 +15,10 @@ systematic order is built as a `Game` and judged with the public `holds` and
 `determined_players`.  They share the public semantics with the search, not
 its generation, budgeting or lazy evaluation.
 
+The dict oracles build a draw's game and a built-in game as label-keyed
+payoff dicts through `Game.of`, one comprehension each, where the library
+hands `Game` row-major tokens and leaves the dicts to the first read.
+
 The best-response oracle reads each cell's own-axis column by index
 arithmetic, one cell at a time, where the join's `_best_responses` works by
 whole rows.
@@ -49,7 +53,7 @@ from gamedep.core import (
 )
 from gamedep.parser import LocalityError, ParseError, parse_rational
 from gamedep.prover import Hypotheses, saturate
-from gamedep.search import FuzzReport, FuzzViolation, NoneWithinBounds
+from gamedep.search import FuzzReport, FuzzViolation, NoneWithinBounds, builtin_graph
 from gamedep.semantics import determined_players, holds
 
 
@@ -318,6 +322,32 @@ def game_by_draws(graph, bounds, index) -> Game:
     payoffs = {p: {key: values[_below(stream, len(values))]
                    for key in product(*(strategies[q] for q in graph.local_order(p)))}
                for p in graph.players}
+    return Game.of(graph, strategies, payoffs)
+
+
+def game_of_draw_by_dicts(graph, bounds, counts, cells) -> Game:
+    """The game of a draw (`search._draw`'s counts and per-player value
+    indices) with its payoff dicts built at once, through `Game.of`."""
+    strategies = {p: tuple(str(i) for i in range(k)) for p, k in zip(graph.players, counts)}
+    values = bounds.payoff_values
+    payoffs = {p: dict(zip(product(*(strategies[q] for q in graph.local_order(p))),
+                           (values[c] for c in row)))
+               for p, row in zip(graph.players, cells)}
+    return Game.of(graph, strategies, payoffs)
+
+
+def builtin_by_dicts(graph_name: str, strategies: dict, rewards: dict) -> Game:
+    """A built-in game (`search._builtin`'s arguments) with its payoff dicts
+    built at once, through `Game.of`: 1 where a player's reward test passes,
+    0 where it fails, and an empty table for a player without a reward."""
+    graph = builtin_graph(graph_name)
+    payoffs = {}
+    for player in graph.players:
+        reward = rewards.get(player)
+        local = graph.local_order(player)
+        payoffs[player] = {} if reward is None else {
+            key: Fraction(int(reward(dict(zip(local, key)))))
+            for key in product(*(strategies[q] for q in local))}
     return Game.of(graph, strategies, payoffs)
 
 

@@ -209,17 +209,19 @@ class TestAgainstDeviationOracle:
 
 
 def assert_reader_cells_match(game):
-    """The printed-form reader's integer cells are the ones `_cells`
-    computes from the payoffs, and its game equals the `Game.of` one."""
+    """`_cells` of the printed-form reader's game, which scales its row-major
+    tokens, equals `_cells` of a `Game.of` copy, which reads its `payoffs`,
+    and the games are equal."""
     parsed = parser._read_printed_game(print_game(game))
-    assert parsed is not None
-    carried = parsed._cache["cells"]
-    assert "cells" not in game._cache
+    assert parsed is not None and set(parsed._cache) == {"tokens", "values"}
+    built = Game.of(game.graph, game.strategies, game.payoffs)
+    assert built._cache == {}
     for player in game.graph.players:
-        assert carried.get(player) == _cells(game, player)
-    assert parsed == game
-    assert repr(parsed) == repr(game)
-    assert enumerate_equilibria(parsed) == enumerate_equilibria(game)
+        assert _cells(parsed, player) == _cells(built, player)
+    assert "payoffs" not in vars(parsed)
+    assert parsed == built and built == parsed
+    assert repr(parsed) == repr(built)
+    assert enumerate_equilibria(parsed) == enumerate_equilibria(built)
 
 
 class TestBestResponsesAgainstCellOracle:
@@ -246,8 +248,8 @@ class TestBestResponsesAgainstCellOracle:
 
 
 class TestCellsOfPrintedDocuments:
-    """Differential: the cells the printed-form reader hands the join
-    against the cells computed from `Game.payoffs`."""
+    """Differential: the join's cells scaled from the printed-form reader's
+    tokens against the cells computed from `Game.payoffs`."""
 
     @given(games(max_players=4, values=SIGNED_VALUES))
     def test_signed_values(self, game):
@@ -260,11 +262,16 @@ class TestCellsOfPrintedDocuments:
     def test_builtins(self):
         for name in ["coordination", "table2", "parity", "consensus", "gamma2_rps",
                      "gamma1_mean_mod(5)"]:
-            assert_reader_cells_match(builtin_game(name))
+            game = builtin_game(name)
+            # a built-in's own tokens, reward bits, give the same cells
+            built = Game.of(game.graph, game.strategies, game.payoffs)
+            assert [_cells(game, p) for p in game.graph.players] == [
+                _cells(built, p) for p in game.graph.players]
+            assert_reader_cells_match(game)
 
     def test_ne_and_check_never_build_the_payoff_tables(self):
-        # the join reads the carried cells and `holds` reads the equilibria,
-        # so a printed-form game's label-keyed tables are never built
+        # the join scales the tokens and `holds` reads the equilibria, so a
+        # printed-form game's label-keyed tables are never built
         for name in ["coordination", "gamma2_rps", "gamma1_mean_mod(5)"]:
             game = parse_game(print_game(builtin_game(name)))
             players = game.graph.players
@@ -281,7 +288,9 @@ class TestCellsOfPrintedDocuments:
                 + "".join(f"payoff a a={la} b={lb} {value}\n" for (la, lb), value
                           in zip(itertools.product("xy", "uvw"), spellings)))
         game = parse_game(text)
-        assert game._cache["cells"] == {"a": [1, 1, 0, 0, 2, -1]}
+        assert game._cache["tokens"] == {"a": spellings}
+        assert _cells(game, "a") == [1, 1, 0, 0, 2, -1]
+        assert _cells(game, "b") is None
         values = [Fraction(1, 2), Fraction(1, 2), 0, 0, 1, Fraction(-1, 2)]
         built = Game.of(game.graph, game.strategies,
                         {"a": dict(zip(itertools.product("xy", "uvw"), values))})
@@ -301,7 +310,9 @@ class TestCellsOfPrintedDocuments:
         # a document without payoff lines goes to the per-line reader too
         per_line = incomplete or not game.payoffs
         assert (parser._read_printed_game(text) is None) == per_line
-        assert ("cells" not in parsed._cache) == per_line
+        assert ("tokens" not in parsed._cache) == per_line
+        for player in game.graph.players:
+            assert _cells(parsed, player) == _cells(game, player)
         assert parsed == game
         assert enumerate_equilibria(parsed) == enumerate_equilibria(game)
 

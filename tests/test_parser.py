@@ -92,6 +92,15 @@ class TestParseGraph:
     def test_print_parse_round_trip(self, graph):
         assert parse_graph(print_graph(graph)) == graph
 
+    def test_no_players_is_not_printed(self):
+        # the players line would declare none, which `parse_graph` refuses
+        empty = DependencyGraph.of([])
+        with pytest.raises(ParseError, match="line 1: players line declares no players"):
+            parse_graph("players \n")
+        for call, value in [(print_graph, empty), (print_game, Game.of(empty, {}))]:
+            with pytest.raises(InputError, match="graph without players cannot be printed"):
+                call(value)
+
 
 class TestParseGame:
     def test_small_document(self):

@@ -1,7 +1,9 @@
 """Tests for built-in games, seeded generation, and counterexample search."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 import sys
 import time
@@ -24,10 +26,16 @@ from gamedep.core import (
     InputError,
     ResourceLimitError,
 )
-from gamedep.equilibrium import DEFAULT_PROFILE_CAP, equilibria, is_equilibrium
+from gamedep.equilibrium import (
+    DEFAULT_PROFILE_CAP,
+    enumerate_equilibria,
+    equilibria,
+    is_equilibrium,
+)
 from gamedep.parser import ParseError, parse_formula, print_game, print_graph
 from gamedep.prover import Hypotheses, saturate
 from gamedep.search import (
+    _BLOCK_ELEMENTS,
     _BLOCK_PRODUCT,
     _FIRST_BLOCK,
     _GOLDEN,
@@ -58,9 +66,11 @@ from gamedep.semantics import determined_players, holds
 
 from generators import graphs, player_sets
 from oracles import (
+    builtin_by_dicts,
     counterexample_by_games,
     fuzz_by_games,
     game_by_draws,
+    game_of_draw_by_dicts,
     games_in_canonical_order,
 )
 
@@ -391,9 +401,68 @@ class TestDrawnGamesPassTheCheckedConstructors:
         graph = builtin_graph("gamma2")
         game = random_game(graph, SearchBounds(seed=9), 0)
         assert find_counterexample(graph, FALSUM, SearchBounds(seed=9)) == game
+        builtin_game("gamma2_rps")   # built-ins are built unchecked too
         assert calls == []
         _assert_passes_the_checked_constructors(game)
         assert len(calls) == 2   # the counter does see the checked constructors
+
+
+_BUILTIN_NAMES = ["coordination", "table2", "parity", "consensus", "gamma2_rps",
+                  "gamma1_mean_mod(2)", "gamma1_mean_mod(3)", "gamma1_mean_mod(5)",
+                  "gamma1_mean_mod(13)"]
+
+
+class TestGamesFromRowMajorTokens:
+    """Built-ins and the search's games hand `Game` row-major tokens, and
+    `payoffs` is built on first read; against the oracles that build the
+    label-keyed dicts at once from the same arguments."""
+
+    @staticmethod
+    def _pairs(monkeypatch):
+        """(game, the oracle's game) for every built-in, 15 seeded random
+        games and the games two searches return."""
+        pairs = []
+        for name in _BUILTIN_NAMES:
+            game = builtin_game(name)
+            with monkeypatch.context() as patched:
+                patched.setattr(gamedep.search, "_builtin", builtin_by_dicts)
+                pairs.append((game, builtin_game(name)))
+        real = gamedep.search._build
+
+        def build(*args):
+            pairs.append((real(*args), game_of_draw_by_dicts(*args)))
+            return pairs[-1][0]
+        monkeypatch.setattr(gamedep.search, "_build", build)
+        values = (-2, Fraction(-1, 3), 0, Fraction(5, 2), 7)
+        for index in range(15):
+            graph = builtin_graph(sorted(_GRAPHS)[index % len(_GRAPHS)])
+            bounds = SearchBounds(max_strategies=3, payoff_values=values, seed=index)
+            random_game(graph, bounds, index)
+        path = DependencyGraph.of("abcd", ["ab", "bc", "cd"])
+        assert find_counterexample(path, parse_formula("a |> d", path), SearchBounds())
+        gamma3 = builtin_graph("gamma3")
+        assert find_counterexample(gamma3, parse_formula("(c |> b) -> {} |> b", gamma3),
+                                   SearchBounds(max_strategies=2, mode="systematic"))
+        assert len(pairs) == len(_BUILTIN_NAMES) + 17
+        return pairs
+
+    def test_tables_pickles_copies_and_equilibria(self, monkeypatch):
+        for game, oracle in self._pairs(monkeypatch):
+            assert set(game._cache) == {"tokens", "values"}
+            assert "payoffs" not in vars(game)
+            pickled, copied = pickle.dumps(game), copy.deepcopy(game)
+            assert enumerate_equilibria(game) == enumerate_equilibria(oracle)
+            assert "payoffs" not in vars(game)   # the join reads the tokens
+            # equality both ways, the unread side on either
+            assert oracle == game and "payoffs" in vars(game)
+            for unread in (pickle.loads(pickled), copied):
+                assert "payoffs" not in vars(unread)
+                assert unread == oracle and oracle == unread
+                assert unread == game and game == unread
+            # the same tables, in the same order
+            assert ([(p, list(table.items())) for p, table in game.payoffs.items()]
+                    == [(p, list(table.items())) for p, table in oracle.payoffs.items()])
+            assert print_game(game) == print_game(oracle)
 
 
 class TestSystematicOrder:
@@ -985,12 +1054,12 @@ def _game_of_number(graph, counts, values, number):
 
 
 def _record_random_blocks(monkeypatch):
-    """`(start, size, max_block)` of every random block judged."""
+    """`(start, size, max_random_block)` of every random block judged."""
     calls = []
     real = _BlockLayout.random_block
 
     def record(layout, seed, start, size):
-        calls.append((start, size, layout.max_block))
+        calls.append((start, size, layout.max_random_block))
         return real(layout, seed, start, size)
     monkeypatch.setattr(_BlockLayout, "random_block", record)
     return calls
@@ -1006,7 +1075,7 @@ class TestBlockSchedule:
         graph = builtin_graph("gamma1")
         bounds = SearchBounds(seed=3, sample_count=1000)
         # 10^6 // 2016 multiply-adds per candidate in the placement product
-        assert _BlockLayout.of(graph, bounds).max_block == 496
+        assert _BlockLayout.of(graph, bounds).max_random_block == 496
         formula = parse_formula("a |> a", graph)   # holds: the whole stream is judged
         assert find_counterexample(graph, formula, bounds) == NoneWithinBounds(1000)
         first = _FIRST_BLOCK
@@ -1069,10 +1138,30 @@ class TestBlockSchedule:
         layout = _BlockLayout.of(builtin_graph(name), SearchBounds(max_strategies=most))
         if layout is None:
             return
-        assert layout.max_block >= 1
-        assert layout.placement.size * layout.max_block <= _BLOCK_PRODUCT
+        # a random block's product has a column per candidate; a systematic
+        # block's has one, so only the padded elements cap it
+        assert 1 <= layout.max_random_block <= layout.max_block
+        assert layout.placement.size * layout.max_random_block <= _BLOCK_PRODUCT
+        assert layout.max_block == _BLOCK_ELEMENTS // max(most ** len(layout.graph.players),
+                                                          layout.draws)
+        caps = {("gamma1", 2): (1736, 2340), ("gamma1", 3): (496, 809),
+                ("gamma2", 3): (144, 297), ("gamma5", 3): (77, 89)}
+        if (name, most) in caps:
+            assert (layout.max_random_block, layout.max_block) == caps[name, most]
         if (name, most) == ("gamma5", 3):
-            assert layout.max_block >= _FIRST_BLOCK
+            assert layout.max_random_block >= _FIRST_BLOCK
+
+    def test_systematic_blocks_pass_the_random_cap(self, monkeypatch):
+        # gamma1 at three strategies: random blocks stop at 496 candidates,
+        # systematic ones grow to the padded-element cap of 809
+        calls = _record_blocks(monkeypatch)
+        graph = builtin_graph("gamma1")
+        bounds = SearchBounds(max_strategies=3, max_profiles=20_000, mode="systematic")
+        outcome = find_counterexample(graph, parse_formula("a |> a", graph), bounds)
+        assert outcome == NoneWithinBounds(5_524, cap_exceeded=True)
+        sizes = [size for _, _, size, _ in calls]
+        assert max(sizes) > 496 and all(size <= 809 for size in sizes)
+        assert sum(sizes) == 5_524
 
     def test_systematic_blocks_double_across_shapes(self, monkeypatch):
         calls = _record_blocks(monkeypatch)
@@ -1119,7 +1208,7 @@ class TestLiveCellDraws:
         graph = builtin_graph(name)
         bounds = SearchBounds(max_strategies=most, payoff_values=values, seed=11)
         layout = _BlockLayout.of(graph, bounds)
-        start, total = 8, min(90, layout.max_block)
+        start, total = 8, min(90, layout.max_random_block)
         counts, rejected, mask = layout.random_block(bounds.seed, start, total)
         parts, at = [], start
         for size in (1, 7, 13, 40, total - 61):
